@@ -98,6 +98,7 @@ from .oracle import (
     brute_force_positive_type,
     naive_extension_property,
     naive_extension_witness,
+    naive_f_signature,
 )
 from . import serialization
 

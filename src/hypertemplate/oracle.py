@@ -1,8 +1,8 @@
 """Brute-force oracles, kept independent of the procedures they check.
 
 These deliberately avoid the level-wise shortcut: the type oracle walks
-every whole witness stem, and the extension oracle walks every choice of
-tuples.  Desk scale only.
+every whole witness stem, the extension oracle walks every choice of
+tuples, and the signature oracle walks every predicate.  Desk scale only.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from typing import Optional
 
 from .errors import InputError
 from .hypergraph import Hypergraph
+from .signature import ParamType, SignatureFunction, equality_patterns, predicate_enumeration
 from .template import Template
-from .tree import Stem
+from .tree import Stem, require_in_tree
 from .typecheck import PositiveTypeSpec
 
 
@@ -75,3 +76,24 @@ def naive_extension_witness(h: Hypergraph, tuples) -> Optional[int]:
         if all(h.is_edge((s,) + tuple(tup)) for tup in tuples):
             return s
     return None
+
+
+def naive_f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
+    """Walk the canonical predicate enumeration and test every stem
+    against every predicate, instead of placing stem prefixes by rank."""
+    if len(ptype.stems) != t.arity - 1:
+        raise InputError(f"expected {t.arity - 1} stems, got {len(ptype.stems)}")
+    stems = [require_in_tree(t, s, "parameter stem") for s in ptype.stems]
+    if any(len(s) < depth for s in stems):
+        raise InputError(f"stems must have length >= {depth} to answer all predicates")
+    pats = equality_patterns(len(ptype.equality))
+    if tuple(ptype.equality) not in pats:
+        raise InputError(f"{tuple(ptype.equality)} is not a canonical restricted growth string")
+    values = [pats.index(tuple(ptype.equality))]
+    for psi in predicate_enumeration(t, depth):
+        mask = 0
+        for j, s in enumerate(stems):
+            if s[: len(psi)] == psi:
+                mask |= 1 << j
+        values.append(mask)
+    return SignatureFunction(tuple(values), depth)

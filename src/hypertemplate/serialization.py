@@ -57,6 +57,21 @@ def _ints(parts: Sequence[str], what: str) -> list[int]:
         raise InputError(f"{what}: expected integers, got {parts}")
 
 
+def _int(parts: Sequence[str], what: str) -> int:
+    if len(parts) != 1:
+        raise InputError(f"{what}: expected one integer, got {parts}")
+    return _ints(parts, what)[0]
+
+
+def _indexed(parts: Sequence[str], index: int, count: int, what: str) -> tuple[int, ...]:
+    """The values of a line that starts with its own index, then count
+    integers."""
+    vals = _ints(parts, what)
+    if len(vals) != count + 1 or vals[0] != index:
+        raise InputError(f"{what}: malformed line {index}")
+    return tuple(vals[1:])
+
+
 # -- templates -------------------------------------------------------------
 
 
@@ -76,15 +91,15 @@ def load_template(text: str) -> Template:
     ln = _Lines(text, "template")
     if ln.next() != TEMPLATE_HEADER:
         raise InputError(f"template: bad header, expected {TEMPLATE_HEADER!r}")
-    (arity,) = _ints(ln.expect("arity"), "template arity")
-    (prefix,) = _ints(ln.expect("prefix"), "template prefix")
+    arity = _int(ln.expect("arity"), "template arity")
+    prefix = _int(ln.expect("prefix"), "template prefix")
     levels = []
     for n in range(prefix):
         parts = ln.expect("level")
         if len(parts) != 5 or parts[0] != str(n) or parts[1] != "size" or parts[3] != "f":
             raise InputError(f"template: malformed level line for level {n}")
         size, f = _ints([parts[2], parts[4]], "template level line")
-        (count,) = _ints(ln.expect("edges"), "template edge count")
+        count = _int(ln.expect("edges"), "template edge count")
         edges = []
         for _ in range(count):
             edges.append(_ints(ln.expect("e"), "template edge"))
@@ -92,7 +107,7 @@ def load_template(text: str) -> Template:
     tail_parts = ln.expect("tail")
     if len(tail_parts) != 2:
         raise InputError("template: malformed tail line")
-    tail = TailPolicy(tail_parts[0], int(tail_parts[1]))
+    tail = TailPolicy(tail_parts[0], _int(tail_parts[1:], "template tail growth"))
     ln.done()
     return Template(arity, levels, tail)
 
@@ -115,16 +130,13 @@ def load_model(text: str) -> FiniteModel:
     ln = _Lines(text, "model")
     if ln.next() != MODEL_HEADER:
         raise InputError(f"model: bad header, expected {MODEL_HEADER!r}")
-    (arity,) = _ints(ln.expect("arity"), "model arity")
-    (level,) = _ints(ln.expect("level"), "model level")
-    (count,) = _ints(ln.expect("elements"), "model element count")
+    arity = _int(ln.expect("arity"), "model arity")
+    level = _int(ln.expect("level"), "model level")
+    count = _int(ln.expect("elements"), "model element count")
     leaves: list[Stem] = []
     for i in range(count):
-        vals = _ints(ln.expect("el"), "model element")
-        if vals[0] != i or len(vals) - 1 != level:
-            raise InputError(f"model: malformed element line {i}")
-        leaves.append(tuple(vals[1:]))
-    (ecount,) = _ints(ln.expect("edges"), "model edge count")
+        leaves.append(_indexed(ln.expect("el"), i, level, "model element"))
+    ecount = _int(ln.expect("edges"), "model edge count")
     edges = set()
     for _ in range(ecount):
         edges.add(frozenset(_ints(ln.expect("e"), "model edge")))
@@ -153,10 +165,10 @@ def load_typespec(text: str) -> tuple[PositiveTypeSpec, int]:
     ln = _Lines(text, "typespec")
     if ln.next() != TYPESPEC_HEADER:
         raise InputError(f"typespec: bad header, expected {TYPESPEC_HEADER!r}")
-    (arity,) = _ints(ln.expect("arity"), "typespec arity")
+    arity = _int(ln.expect("arity"), "typespec arity")
     xparts = ln.expect("xstem")
     x_stem = None if xparts == ["-"] else tuple(_ints(xparts, "typespec xstem"))
-    (count,) = _ints(ln.expect("params"), "typespec param count")
+    count = _int(ln.expect("params"), "typespec param count")
     params = []
     for _ in range(count):
         ln.expect("tuple")
@@ -189,18 +201,15 @@ def load_qfspec(text: str) -> tuple[QfFormulaSpec, int]:
     ln = _Lines(text, "qfspec")
     if ln.next() != QFSPEC_HEADER:
         raise InputError(f"qfspec: bad header, expected {QFSPEC_HEADER!r}")
-    (arity,) = _ints(ln.expect("arity"), "qfspec arity")
-    (m,) = _ints(ln.expect("m"), "qfspec m")
+    arity = _int(ln.expect("arity"), "qfspec arity")
+    m = _int(ln.expect("m"), "qfspec m")
     x_leaf = tuple(_ints(ln.expect("xleaf"), "qfspec xleaf"))
-    (count,) = _ints(ln.expect("params"), "qfspec param count")
+    count = _int(ln.expect("params"), "qfspec param count")
     leaves = []
     for i in range(count):
-        vals = _ints(ln.expect("p"), "qfspec param")
-        if vals[0] != i or len(vals) - 1 != m:
-            raise InputError(f"qfspec: malformed parameter line {i}")
-        leaves.append(tuple(vals[1:]))
+        leaves.append(_indexed(ln.expect("p"), i, m, "qfspec param"))
     eq = tuple(_ints(ln.expect("eq"), "qfspec equality"))
-    (ccount,) = _ints(ln.expect("C"), "qfspec positive count")
+    ccount = _int(ln.expect("C"), "qfspec positive count")
     positive = set()
     for _ in range(ccount):
         positive.add(tuple(_ints(ln.expect("c"), "qfspec positive edge")))
@@ -242,11 +251,13 @@ def load_scenario(text: str) -> Scenario:
     ln = _Lines(text, "scenario")
     if ln.next() != SCENARIO_HEADER:
         raise InputError(f"scenario: bad header, expected {SCENARIO_HEADER!r}")
-    (tcount,) = _ints(ln.expect("template-lines"), "scenario template length")
+    tcount = _int(ln.expect("template-lines"), "scenario template length")
     tpl_lines = [ln.next() for _ in range(tcount)]
     template = load_template("\n".join(tpl_lines))
     depths = tuple(_ints(ln.expect("depths"), "scenario depths"))
-    (icount,) = _ints(ln.expect("instances"), "scenario instance count")
+    if not depths:
+        raise InputError("scenario: needs at least one index depth")
+    icount = _int(ln.expect("instances"), "scenario instance count")
     k1 = template.arity - 1
 
     def read_ptype(expected_len: int) -> ParamType:

@@ -6,11 +6,19 @@ position m >= 1 codes, as a bitmask over the variables, which of them sit
 under the m-th predicate in a canonical enumeration.  Agreement of two
 types on a prefix of these codes pins their leaf data down to a tree level,
 which is what makes the consistency-preservation test meaningful.
+
+The layout has a closed form.  Predicates are ordered by length, then
+lexicographically, so the predicate of stem prefix p sits at index
+1 + (number of shorter predicates) + (mixed-radix rank of p over the level
+sizes).  A type's stems extend at most (k-1) * depth predicates, so every
+other value is 0 and a signature costs O(k * depth) to fill in;
+``oracle.naive_f_signature`` keeps the enumeration as a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import inf
 from random import Random
@@ -51,12 +59,17 @@ def equality_patterns(variables: int) -> list[tuple[int, ...]]:
     return out
 
 
+@lru_cache(maxsize=16)
+def _pattern_codes(variables: int) -> dict[tuple[int, ...], int]:
+    return {p: i for i, p in enumerate(equality_patterns(variables))}
+
+
 def pattern_index(pattern: Sequence[int]) -> int:
-    pats = equality_patterns(len(pattern))
-    try:
-        return pats.index(tuple(pattern))
-    except ValueError:
-        raise InputError(f"{tuple(pattern)} is not a canonical restricted growth string")
+    pattern = tuple(pattern)
+    code = _pattern_codes(len(pattern)).get(pattern)
+    if code is None:
+        raise InputError(f"{pattern} is not a canonical restricted growth string")
+    return code
 
 
 def predicate_enumeration(t: Template, depth: int) -> list[Stem]:
@@ -128,22 +141,50 @@ class SignatureFunction:
         return self.values[:n]
 
 
+def _signature_prefix(
+    sizes: Sequence[int], code: int, stems: Sequence[Stem], n: Union[int, float]
+) -> list[int]:
+    """The first n values (all of them when n is past the end) of the
+    signature of in-tree stems over levels of these sizes, pattern code
+    given.  Stems must reach every level whose predicates fall below n."""
+    offsets = []
+    total = width = 1
+    for size in sizes:
+        if total >= n:
+            break
+        offsets.append(total)
+        width *= size
+        total += width
+    out = [0] * min(n, total)
+    if out:
+        out[0] = code
+    for j, s in enumerate(stems):
+        rank = 0
+        for l, offset in enumerate(offsets):
+            rank = rank * sizes[l] + s[l]
+            if offset + rank >= n:  # positions grow with the level
+                break
+            out[offset + rank] |= 1 << j
+    return out
+
+
 def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
     """Code the type: value 0 is the equality-pattern index, value m >= 1
-    is the bitmask of variables whose stem extends the m-th predicate."""
+    is the bitmask of variables whose stem extends the m-th predicate.
+
+    The predicate of stem prefix p sits at 1 + (number of predicates
+    shorter than p) + (mixed-radix rank of p), so only the (k-1) * depth
+    prefixes of the stems are written; every other value is 0."""
     if len(ptype.stems) != t.arity - 1:
         raise InputError(f"expected {t.arity - 1} stems, got {len(ptype.stems)}")
     stems = [require_in_tree(t, s, "parameter stem") for s in ptype.stems]
     if any(len(s) < depth for s in stems):
         raise InputError(f"stems must have length >= {depth} to answer all predicates")
-    values = [pattern_index(ptype.equality)]
-    for psi in predicate_enumeration(t, depth):
-        mask = 0
-        for j, s in enumerate(stems):
-            if s[: len(psi)] == psi:
-                mask |= 1 << j
-        values.append(mask)
-    return SignatureFunction(tuple(values), depth)
+    code = pattern_index(ptype.equality)
+    if depth < 1:
+        raise InputError(f"depth must be >= 1, got {depth}")
+    sizes = [t.level_size(l) for l in range(depth)]
+    return SignatureFunction(tuple(_signature_prefix(sizes, code, stems, inf)), depth)
 
 
 # -- the agreement test ----------------------------------------------------
@@ -193,28 +234,24 @@ def family_consistent(t: Template, family: Family) -> bool:
     return decide_positive_type(t, spec, depth).consistent
 
 
-def _sample_type(t: Template, depth: int, rng: Random) -> ParamType:
-    stem = lambda: tuple(rng.randrange(t.level_size(l)) for l in range(depth))
-    stems = tuple(stem() for _ in range(t.arity - 1))
+def _sample_type(sizes: Sequence[int], variables: int, rng: Random) -> ParamType:
+    stems = tuple(tuple(rng.randrange(m) for m in sizes) for _ in range(variables))
     return ParamType(stems=stems)
 
 
 def _sample_matching(
-    t: Template, base: ParamType, n: int, depth: int, rng: Random, tries: int
+    base: ParamType, n: int, sizes: Sequence[int], lc: int, rng: Random, tries: int
 ) -> Optional[ParamType]:
-    """A type agreeing with base on signature indices < n, random beyond."""
+    """A type agreeing with base on signature indices < n, random beyond:
+    stems keep base's first lc (the coverage level of n) entries."""
     if n <= 0:
-        return _sample_type(t, depth, rng)
-    base_sig = f_signature(t, base, depth).restrict(n)
-    lc = coverage_level(t, n)
+        return _sample_type(sizes, len(base.stems), rng)
+    code = pattern_index(base.equality)
+    base_sig = _signature_prefix(sizes, code, base.stems, n)
     for _ in range(tries):
-        stems = []
-        for s in base.stems:
-            tail = tuple(rng.randrange(t.level_size(l)) for l in range(lc, depth))
-            stems.append(s[:lc] + tail)
-        cand = ParamType(stems=tuple(stems), equality=base.equality)
-        if f_signature(t, cand, depth).restrict(n) == base_sig:
-            return cand
+        stems = tuple(s[:lc] + tuple(rng.randrange(m) for m in sizes[lc:]) for s in base.stems)
+        if _signature_prefix(sizes, code, stems, n) == base_sig:
+            return ParamType(stems=stems, equality=base.equality)
     return None
 
 
@@ -230,16 +267,18 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
     analytic = t.is_complete() or predicate_count(t, m_star(t, s)) + 1 <= n
+    sizes = [t.level_size(l) for l in range(budget.stem_depth)]
+    lc = coverage_level(t, n)
     rng = Random(budget.seed)
     tried = 0
     for _ in range(budget.families):
         tried += 1
-        fam_a = tuple(_sample_type(t, budget.stem_depth, rng) for _ in range(s))
+        fam_a = tuple(_sample_type(sizes, t.arity - 1, rng) for _ in range(s))
         if not family_consistent(t, fam_a):
             continue
         fam_b = []
         for pt in fam_a:
-            match = _sample_matching(t, pt, n, budget.stem_depth, rng, budget.resamples)
+            match = _sample_matching(pt, n, sizes, lc, rng, budget.resamples)
             if match is None:
                 break
             fam_b.append(match)

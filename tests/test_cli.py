@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hypertemplate
+
 from hypertemplate import serialization as ser
 from hypertemplate.cli import run
 from hypertemplate.template import complete_template, random_template
-from hypertemplate.theory import build_random_model
+from hypertemplate.theory import FiniteModel, build_random_model
 from hypertemplate.typecheck import PositiveTypeSpec
 from hypertemplate.signature import ParamType
 from hypertemplate.satsim import Instance, Scenario
@@ -68,6 +73,73 @@ class TestExitCodes:
         spec = PositiveTypeSpec(params=(((0,),),))
         ts = write_typespec(tmp_path, spec, 2)
         assert run(["decide-type", complete_file, ts]) == 2
+
+
+def _edit(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+TEMPLATE_TEXT = ser.dump_template(complete_template(3, 2))
+MODEL_TEXT = ser.dump_model(FiniteModel(3, 2, [(0, 0), (0, 1)], set()))
+TYPESPEC_TEXT = ser.dump_typespec(PositiveTypeSpec(params=(((0, 1), (0, 0)),)), 3)
+SCENARIO_TEXT = ser.dump_scenario(Scenario(template=complete_template(3, 2), depths=(2,), instances=()))
+
+# (verb, first file, second file or None): each must end in exit 2
+MALFORMED = {
+    "tail growth not an integer": (
+        "validate-template",
+        _edit(TEMPLATE_TEXT, "tail complete_growing 1", "tail complete_growing x"),
+        None,
+    ),
+    "two values on the arity line": (
+        "validate-template", _edit(TEMPLATE_TEXT, "arity 3", "arity 2 3"), None,
+    ),
+    "no value on the prefix line": (
+        "validate-template", _edit(TEMPLATE_TEXT, "prefix 2", "prefix"), None,
+    ),
+    "element line without integers": (
+        "check-model", TEMPLATE_TEXT, _edit(MODEL_TEXT, "el 0 0 0", "el"),
+    ),
+    "two values on the model level line": (
+        "check-model", TEMPLATE_TEXT, _edit(MODEL_TEXT, "level 2", "level 2 3"),
+    ),
+    "scenario without index depths": (
+        "simulate-saturation", _edit(SCENARIO_TEXT, "depths 2", "depths"), None,
+    ),
+    "two values on the typespec params line": (
+        "decide-type", TEMPLATE_TEXT, _edit(TYPESPEC_TEXT, "params 1", "params 1 1"),
+    ),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exit_2_with_one_line(self, case, tmp_path, capsys):
+        verb, *texts = MALFORMED[case]
+        argv = [verb]
+        for i, text in enumerate(texts):
+            if text is not None:
+                p = tmp_path / f"input{i}.txt"
+                p.write_text(text)
+                argv.append(str(p))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["hypertemplate", "hypertemplate.cli"])
+    def test_python_m_prints_usage(self, module):
+        src = str(Path(hypertemplate.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: hypertemplate")
 
 
 class TestPipelines:

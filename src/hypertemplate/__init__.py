@@ -99,6 +99,7 @@ from .oracle import (
     naive_extension_property,
     naive_extension_witness,
     naive_f_signature,
+    naive_transfer_check,
 )
 from . import serialization
 

@@ -2,20 +2,29 @@
 
 These deliberately avoid the level-wise shortcut: the type oracle walks
 every whole witness stem, the extension oracle walks every choice of
-tuples, and the signature oracle walks every predicate.  Desk scale only.
+tuples, the signature oracle walks every predicate, and the transfer
+oracle walks every extension of every parameter.  Desk scale only.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
+from random import Random
 from typing import Optional
 
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .hypergraph import Hypergraph
 from .signature import ParamType, SignatureFunction, equality_patterns, predicate_enumeration
 from .template import Template
 from .tree import Stem, require_in_tree
-from .typecheck import PositiveTypeSpec
+from .typecheck import (
+    PositiveTypeSpec,
+    QfFormulaSpec,
+    TransferCounterexample,
+    TransferReport,
+    decide_qf_formula,
+    m_star,
+)
 
 
 def brute_force_positive_type(
@@ -97,3 +106,49 @@ def naive_f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFun
                 mask |= 1 << j
         values.append(mask)
     return SignatureFunction(tuple(values), depth)
+
+
+def naive_transfer_check(t: Template, m: int, trials: int, seed: int) -> TransferReport:
+    """Draw the same seeded trials as transfer_check and walk every
+    extension of every parameter, testing each with is_edge directly,
+    instead of settling trials by the extension property at m* and
+    enumerating only the parameters in demanded edges."""
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
+    ms = m_star(t, m)
+    if t.prefix_len < ms + 1:
+        raise PreconditionError(
+            f"prefix depth {t.prefix_len} below stabilization level {ms} + 1"
+        )
+    k = t.arity
+    h = t.level_hypergraph(ms)
+    ces = []
+    for trial in range(trials):
+        rng = Random(f"{seed}:{trial}")
+        n = rng.randint(k - 1, 2 * (k - 1))
+        leaves = tuple(
+            tuple(rng.randrange(t.level_size(l)) for l in range(ms)) for _ in range(n)
+        )
+        x = tuple(rng.randrange(t.level_size(l)) for l in range(ms))
+        all_tuples = list(combinations(range(n), k - 1))
+        c_size = rng.randint(0, min(m, len(all_tuples)))
+        positive = frozenset(rng.sample(all_tuples, c_size))
+        spec = QfFormulaSpec(x_leaf=x, param_leaves=leaves, positive=positive)
+        if not decide_qf_formula(t, ms, spec):
+            continue
+        for ext in product(range(h.size), repeat=n):
+            if any(
+                all(h.is_edge((s,) + tuple(ext[i] for i in tup)) for tup in positive)
+                for s in range(h.size)
+            ):
+                continue
+            ext_leaves = tuple(leaves[i] + (ext[i],) for i in range(n))
+            high = any(
+                decide_qf_formula(t, ms + 1, QfFormulaSpec(
+                    x_leaf=x + (s,), param_leaves=ext_leaves, positive=positive))
+                for s in range(h.size)
+            )
+            if not high:
+                ces.append(TransferCounterexample(trial, spec, ext_leaves, True, False))
+                break
+    return TransferReport(m, ms, trials, tuple(ces))

@@ -10,8 +10,10 @@ two routes agree.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 from random import Random
 from typing import Optional, Sequence
 
@@ -203,6 +205,8 @@ def decide_qf_formula(
 
 # -- the level-transfer experiment -----------------------------------------
 
+_CHUNK = 64  # trials per task handed to a worker process
+
 
 @dataclass(frozen=True)
 class TransferCounterexample:
@@ -226,7 +230,7 @@ class TransferReport:
 
 
 def _transfer_trial(
-    t: Template, m: int, ms: int, trial: int, seed: int
+    t: Template, m: int, ms: int, proven: int, trial: int, seed: int
 ) -> Optional[TransferCounterexample]:
     rng = Random(f"{seed}:{trial}")
     k = t.arity
@@ -243,9 +247,19 @@ def _transfer_trial(
     if not low or not positive:
         # an inconsistent or edge-free formula stays so under any extension
         return None
+    if len(positive) <= proven:
+        # any extension yields at most len(positive) (k-1)-tuples at level
+        # ms, and level ms has the extension property for that many
+        return None
     h = t.level_hypergraph(ms)
     full = (1 << h.size) - 1
-    for ext in product(range(h.size), repeat=n):
+    # parameters outside every positive tuple change no mask: hold them at
+    # 0, so the first hit is the lexicographically least full extension
+    used = sorted({i for tup in positive for i in tup})
+    ext = [0] * n
+    for values in product(range(h.size), repeat=len(used)):
+        for i, v in zip(used, values):
+            ext[i] = v
         acc = full
         for tup in positive:
             acc &= h.witness_mask(tuple(ext[i] for i in tup))
@@ -268,35 +282,55 @@ def _transfer_trial(
 def transfer_check(
     t: Template, m: int, trials: int, seed: int, workers: int = 1
 ) -> TransferReport:
-    """Empirical check of the level-transfer property: a complete qf formula
-    consistent at the stabilization level stays consistent at the next
-    level for every one-level extension of its parameter leaves.
+    """Check the level-transfer property: a complete qf formula consistent
+    at the stabilization level ms stays consistent at level ms + 1 for
+    every one-level extension of its parameter leaves.
 
     Samples formulas with up to 2(k-1) parameters and at most m demanded
-    edges (the count the stabilized arities must cover), and enumerates all
-    parameter extensions.  On a valid template the expected counterexample
-    count is zero; the corruption harness in tests shows the check has
-    power.  Each trial is seeded independently, so results do not depend on
-    worker partitioning."""
+    edges (the count the stabilized arities must cover).  A consistent
+    formula with demanded edges is settled without search when it demands
+    no more edges than the count for which level ms exactly has the
+    extension property: its extended tuples then always share a witness.
+    Any other such formula is checked by enumerating the extensions of the
+    parameters that occur in a demanded edge, the rest held at vertex 0,
+    and every mismatch is confirmed through decide_qf_formula at ms + 1.
+    On a valid template the expected counterexample count is zero; the
+    corruption harness in tests shows the check has power.  Each trial is
+    seeded independently, so results do not depend on worker partitioning;
+    the pool holds at most min(workers, CPU count, 64-trial chunks)
+    processes, and one means the serial path."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     ms = m_star(t, m)
     if t.prefix_len < ms + 1:
         raise PreconditionError(
             f"prefix depth {t.prefix_len} below stabilization level {ms} + 1"
         )
+    # largest count <= the most demanded edges a trial can draw for which
+    # level ms exhaustively has the extension property, hence has it at
+    # every smaller count; a sampled "holds" proves nothing
+    h = t.level_hypergraph(ms)
+    proven = 0
+    for count in range(1, min(m, comb(2 * (t.arity - 1), t.arity - 1)) + 1):
+        check = h.check_extension_property(count)
+        if not (check.holds and check.exhaustive):
+            break
+        proven = count
+    pool_size = min(workers, os.cpu_count() or 1, -(-trials // _CHUNK))
     ces = []
-    if workers > 1:
+    if pool_size > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(t, m, ms, i, seed) for i in range(trials)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_transfer_trial_star, args, chunksize=64):
+        args = [(t, m, ms, proven, i, seed) for i in range(trials)]
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            for res in pool.map(_transfer_trial_star, args, chunksize=_CHUNK):
                 if res is not None:
                     ces.append(res)
     else:
         for i in range(trials):
-            res = _transfer_trial(t, m, ms, i, seed)
+            res = _transfer_trial(t, m, ms, proven, i, seed)
             if res is not None:
                 ces.append(res)
     ces.sort(key=lambda c: c.trial)

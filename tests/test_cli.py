@@ -74,6 +74,10 @@ class TestExitCodes:
         ts = write_typespec(tmp_path, spec, 2)
         assert run(["decide-type", complete_file, ts]) == 2
 
+    def test_qe_transfer_workers_below_one_exit_2(self, random_file, capsys):
+        assert run(["qe-transfer", random_file, "--m", "2", "--workers", "0"]) == 2
+        assert capsys.readouterr().err == "input error: workers must be >= 1, got 0\n"
+
 
 def _edit(text, old, new):
     assert old in text

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from math import isinf
 from pathlib import Path
 
@@ -314,7 +315,13 @@ def cmd_oracle(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The verb parser, built once per process and shared by every ``run``.
+
+    Parsing leaves it unchanged (each ``parse_args`` returns a fresh
+    Namespace), so callers may run many verbs in one process; they must not
+    add arguments to the shared parser."""
     p = argparse.ArgumentParser(
         prog="hypertemplate",
         description="Hypergraph-template workbench: templates, tree theories, type checks",
@@ -429,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExhausted as e:

@@ -2,7 +2,10 @@
 
 A k-full hypergraph stores only its k-uniform part (edges on k distinct
 vertices); every tuple with fewer than k distinct entries counts as an edge
-by definition.  All queries derive the full edge relation at lookup time.
+by definition.  All queries derive the full edge relation at lookup time:
+a single witness mask scans the edges on its first lookup, while the bulk
+path (every (k-1)-tuple at once, for extension checks) derives all missing
+masks from one pass over the edges.
 """
 
 from __future__ import annotations
@@ -139,10 +142,28 @@ class Hypergraph:
         return (mask & -mask).bit_length() - 1
 
     def _distinct_masks(self) -> dict[int, tuple[int, ...]]:
-        """Map each distinct witness mask to a representative (k-1)-tuple."""
+        """Map each distinct witness mask to a representative (k-1)-tuple,
+        the first in product order, caching the mask of every tuple.
+
+        Masks missing from the cache come from one pass over the edges, not
+        one scan per tuple: an edge e gives bit s to the vertex set e - {s},
+        and a tuple of k-1 distinct vertices adds its own vertices (s
+        repeating one is always an edge); a tuple with a repeat gets all."""
+        cache = self._mask_cache
+        width = self.arity - 1
+        full = (1 << self.size) - 1
+        table: Optional[dict[int, int]] = None
         reps: dict[int, tuple[int, ...]] = {}
-        for tup in product(range(self.size), repeat=self.arity - 1):
-            m = self.witness_mask(tup)
+        for tup in product(range(self.size), repeat=width):
+            m = cache.get(tup)
+            if m is None:
+                if table is None:
+                    table = _completion_table(self._edge_sets)
+                bits = 0
+                for v in tup:
+                    bits |= 1 << v
+                m = table.get(bits, 0) | bits if bits.bit_count() == width else full
+                cache[tup] = m
             if m not in reps:
                 reps[m] = tup
         return reps
@@ -219,6 +240,20 @@ class Hypergraph:
             if not any(frozenset(sub) in self._edge_sets for sub in combinations(cand, self.arity)):
                 return frozenset(cand)
         return None
+
+
+def _completion_table(edge_sets: Iterable[frozenset[int]]) -> dict[int, int]:
+    """Map the vertex-set bits of every (k-1)-subset of an edge to the bits of
+    the vertices s completing it to an edge, in one pass over the edges."""
+    table: dict[int, int] = {}
+    for e in edge_sets:
+        bits = 0
+        for v in e:
+            bits |= 1 << v
+        for v in e:
+            rest = bits ^ (1 << v)
+            table[rest] = table.get(rest, 0) | (1 << v)
+    return table
 
 
 def complete_hypergraph(arity: int, size: int) -> Hypergraph:

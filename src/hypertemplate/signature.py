@@ -223,6 +223,12 @@ def family_consistent(t: Template, family: Family) -> bool:
     joint type.  A tuple whose pattern merges two variables can never head
     a positive instance (the edge relation is irreflexive), so such types
     fall outside the admissible set and the family is rejected."""
+    return _family_consistent(t, family, m_star(t, max(1, len(family))) + 1)
+
+
+def _family_consistent(t: Template, family: Family, floor: int) -> bool:
+    """The body of ``family_consistent``; ``floor`` is m*(t, |family|) + 1,
+    which a caller checking many families of one size computes once."""
     for pt in family:
         eq = pt.equality
         if len(set(eq)) < len(eq):
@@ -230,8 +236,7 @@ def family_consistent(t: Template, family: Family) -> bool:
     params = tuple(pt.stems for pt in family)
     length = max((pt.stem_length for pt in family), default=1)
     spec = PositiveTypeSpec(params=params)
-    depth = max(length, m_star(t, max(1, len(family))) + 1)
-    return decide_positive_type(t, spec, depth).consistent
+    return decide_positive_type(t, spec, max(length, floor)).consistent
 
 
 def _sample_type(sizes: Sequence[int], variables: int, rng: Random) -> ParamType:
@@ -266,7 +271,8 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
     types past the stabilization level, which are proved analytically."""
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
-    analytic = t.is_complete() or predicate_count(t, m_star(t, s)) + 1 <= n
+    ms = m_star(t, s)
+    analytic = t.is_complete() or predicate_count(t, ms) + 1 <= n
     sizes = [t.level_size(l) for l in range(budget.stem_depth)]
     lc = coverage_level(t, n)
     rng = Random(budget.seed)
@@ -274,7 +280,7 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
     for _ in range(budget.families):
         tried += 1
         fam_a = tuple(_sample_type(sizes, t.arity - 1, rng) for _ in range(s))
-        if not family_consistent(t, fam_a):
+        if not _family_consistent(t, fam_a, ms + 1):
             continue
         fam_b = []
         for pt in fam_a:
@@ -285,7 +291,7 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
         if len(fam_b) != s:
             continue
         fam_b = tuple(fam_b)
-        if not family_consistent(t, fam_b):
+        if not _family_consistent(t, fam_b, ms + 1):
             return OplusResult(s, n, False, OplusCounterexample(fam_a, fam_b, n), tried)
     return OplusResult(s, n, True, None, tried, analytic=analytic)
 

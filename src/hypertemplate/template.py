@@ -119,7 +119,7 @@ class Template:
 
     def level(self, n: int) -> tuple[Hypergraph, int]:
         """(hypergraph, f) at level n; tail levels are complete."""
-        if n < len(self.levels):
+        if 0 <= n < len(self.levels):
             return self.levels[n]
         return _complete_cached(self.arity, self.level_size(n)), self.f_value(n)
 

@@ -8,7 +8,7 @@ import pytest
 import hypertemplate
 
 from hypertemplate import serialization as ser
-from hypertemplate.cli import run
+from hypertemplate.cli import build_parser, run
 from hypertemplate.template import complete_template, random_template
 from hypertemplate.theory import FiniteModel, build_random_model
 from hypertemplate.typecheck import PositiveTypeSpec
@@ -267,3 +267,36 @@ class TestDeterminism:
                         "--seed", "11", "--out", out]) == 0
             outs.append(Path(out).read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestParserReuse:
+    """``run`` shares one parser per process; no call may leak into the next."""
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_same_argv_twice_identical(self, random_file, capsys):
+        argv = ["validate-template", random_file, "--depth", "3", "--seed", "4"]
+        results = []
+        for _ in range(2):
+            code = run(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1]
+        assert results[0][0] == 0 and "result valid" in results[0][1]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["no-such-verb"],
+            ["build-model", "x.tpl"],  # --level is required
+        ],
+    )
+    def test_argparse_error_then_valid_call(self, bad, random_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        out = str(tmp_path / "m.mdl")
+        assert run(["build-model", random_file, "--level", "1", "--out", out]) == 0
+        assert Path(out).read_text().startswith("hgt-model")

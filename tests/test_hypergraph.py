@@ -59,6 +59,32 @@ class TestWitnessMask:
         h = Hypergraph(3, 4)
         assert h.witness_mask((2, 2)) == 0b1111
 
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 6),
+        st.floats(0.05, 1.0),
+        st.integers(0, 2**31),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bulk_masks_match_edge_scans(self, arity, size, p, seed, warm):
+        # the one-pass bulk build must agree with direct is_edge scans, from
+        # a cold cache (warm = 0) or one partly filled by witness_mask
+        h = random_hypergraph(arity, size, p, Random(seed))
+        tuples = list(itertools.product(range(size), repeat=arity - 1))
+        rng = Random(seed + 1)
+        for tup in tuples:
+            if rng.random() < warm:
+                h.witness_mask(tup)
+        reps = h._distinct_masks()
+        assert set(h._mask_cache) == set(tuples)
+        first = {}
+        for tup in tuples:
+            mask = sum(1 << s for s in range(size) if h.is_edge((s,) + tup))
+            assert h._mask_cache[tup] == mask
+            first.setdefault(mask, tup)
+        assert reps == first
+
 
 class TestExtensionWitness:
     def test_complete_least_witness(self):

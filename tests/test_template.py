@@ -40,6 +40,15 @@ class TestLevelAccess:
         t = complete_template(2, 2)
         assert t.level(7) == t.level(7)
 
+    @pytest.mark.parametrize("n", [-1, -2, -5])
+    def test_negative_level_rejected(self, n):
+        # a negative index must not count stored levels from the end
+        t = complete_template(3, 4)
+        with pytest.raises(InputError):
+            t.level(n)
+        with pytest.raises(InputError):
+            t.level_hypergraph(n)
+
     def test_tail_f_nondecreasing_unbounded(self):
         t = complete_template(3, 2)
         fs = [t.f_value(n) for n in range(2, 30)]

@@ -10,7 +10,6 @@ from .errors import (
     PreconditionError,
 )
 from .hypergraph import (
-    DEFAULT_EXTENSION_BUDGET,
     ExtensionCheck,
     Hypergraph,
     complete_hypergraph,

@@ -87,7 +87,7 @@ def cmd_gen_template(args) -> int:
 
 def cmd_validate_template(args) -> int:
     t = ser.load_template(_read(args.template))
-    rep = validate(t, args.depth, seed=args.seed)
+    rep = validate(t, args.depth)
     pairs = [("depth", rep.depth), ("exhaustive", str(rep.exhaustive).lower())]
     for p in rep.problems:
         pairs.append(("problem", f"level {p.level} {p.condition}: {p.message}"))
@@ -98,14 +98,22 @@ def cmd_validate_template(args) -> int:
     return OK if rep.exhaustive else INDETERMINATE
 
 
-def cmd_decide_type(args) -> int:
+def _template_and_typespec(args):
     t = ser.load_template(_read(args.template))
     spec, arity = ser.load_typespec(_read(args.typespec))
     if arity != t.arity:
         raise InputError(f"typespec arity {arity} != template arity {t.arity}")
-    depth = args.depth or max(
-        spec.common_length(), m_star(t, max(1, len(spec.params))) + 1
-    )
+    return t, spec
+
+
+def _type_depth(args, t, spec) -> int:
+    """--depth, else deep enough for the stems and for m* of the parameters."""
+    return args.depth or max(spec.common_length(), m_star(t, max(1, len(spec.params))) + 1)
+
+
+def cmd_decide_type(args) -> int:
+    t, spec = _template_and_typespec(args)
+    depth = _type_depth(args, t, spec)
     dec = decide_positive_type(t, spec, depth)
     pairs = [("depth", depth)]
     if dec.consistent:
@@ -185,10 +193,7 @@ def cmd_qe_transfer(args) -> int:
 
 
 def cmd_signature(args) -> int:
-    t = ser.load_template(_read(args.template))
-    spec, arity = ser.load_typespec(_read(args.typespec))
-    if arity != t.arity:
-        raise InputError(f"typespec arity {arity} != template arity {t.arity}")
+    t, spec = _template_and_typespec(args)
     if not spec.params:
         raise InputError("typespec carries no parameter tuple")
     ptype = ParamType(stems=spec.params[0])
@@ -289,13 +294,8 @@ def cmd_simulate_saturation(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    t = ser.load_template(_read(args.template))
-    spec, arity = ser.load_typespec(_read(args.typespec))
-    if arity != t.arity:
-        raise InputError(f"typespec arity {arity} != template arity {t.arity}")
-    depth = args.depth or max(
-        spec.common_length(), m_star(t, max(1, len(spec.params))) + 1
-    )
+    t, spec = _template_and_typespec(args)
+    depth = _type_depth(args, t, spec)
     dec = decide_positive_type(t, spec, depth)
     o_cons, o_wit = brute_force_positive_type(t, spec, depth)
     agree = dec.consistent == o_cons and dec.witness == o_wit

@@ -5,36 +5,44 @@ vertices); every tuple with fewer than k distinct entries counts as an edge
 by definition.  All queries derive the full edge relation at lookup time:
 a single witness mask scans the edges on its first lookup, while the bulk
 path (every (k-1)-tuple at once, for extension checks) derives all missing
-masks from one pass over the edges.
+masks from one pass over the edges.  The extension property is decided
+exactly, by a search for a smallest cover of the vertex set by complements
+of witness masks, within a bound on the nodes it visits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
-from math import comb
+from dataclasses import dataclass
+from itertools import accumulate, combinations, product
 from random import Random
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 
-# Exhaustive extension checking is O(size^(t*(k-1)+1)); beyond this exponent
-# budget we fall back to seeded sampling and flag the result non-exhaustive.
-DEFAULT_EXTENSION_BUDGET = 12
+# Most nodes one extension check may visit, a node being one complement
+# offered at a branching step; CPython visits about three million a second.
+COVER_SEARCH_NODES = 1_000_000
+
+
+class _NodeBoundReached(Exception):
+    """A cover search visited COVER_SEARCH_NODES nodes."""
 
 
 @dataclass(frozen=True)
 class ExtensionCheck:
     """Outcome of an extension-property check.
 
-    ``exhaustive`` is False when only a sampled search ran, in which case
-    ``holds`` means "no counterexample found", not a proof.
-    ``counterexample`` is a list of (k-1)-tuples with no common witness.
+    ``counterexample`` is a smallest list of (k-1)-tuples with no common
+    witness, so every choice of fewer tuples has one.  ``exhaustive`` is
+    False when the node bound stopped the search first, in which case
+    ``holds`` means "no counterexample found", not a proof.  ``proven`` is
+    the largest count up to t for which the property is proven.
     """
 
     holds: bool
     exhaustive: bool
     counterexample: Optional[tuple[tuple[int, ...], ...]] = None
+    proven: int = 0
 
 
 class Hypergraph:
@@ -168,49 +176,62 @@ class Hypergraph:
                 reps[m] = tup
         return reps
 
-    def check_extension_property(
-        self,
-        t: int,
-        budget: int = DEFAULT_EXTENSION_BUDGET,
-        trials: int = 2000,
-        seed: int = 0,
-    ) -> ExtensionCheck:
+    def check_extension_property(self, t: int) -> ExtensionCheck:
         """Check that every choice of t (k-1)-tuples has a common witness.
 
-        Exhaustive while t*(k-1) stays within the exponent budget, otherwise
-        a seeded sampled search.  Dedup note: a choice with repetitions has
-        the same witness set as its underlying set of distinct tuples, and
-        witness sets only shrink as tuples are added, so it suffices to
-        check sets of exactly min(t, #distinct masks) distinct masks.
-        """
+        Tuples lack one exactly when the complements of their witness masks
+        cover the vertex set, so this searches for a smallest cover by at
+        most t inclusion-maximal complements (a cover may trade any other
+        for one containing it): it branches on the least uncovered vertex,
+        leaving out complements an earlier sibling's subtree tried, and
+        raises the cover size one step at a time.  Past COVER_SEARCH_NODES
+        nodes it stops with exhaustive=False."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         reps = self._distinct_masks()
-        masks = sorted(reps)
-        tt = min(t, len(masks))
-        exhaustive = t * (self.arity - 1) <= budget
-        if exhaustive:
-            for chosen in combinations(masks, tt):
-                acc = (1 << self.size) - 1
-                for m in chosen:
-                    acc &= m
-                if not acc:
-                    ce = tuple(reps[m] for m in chosen)
-                    return ExtensionCheck(False, True, ce)
-            return ExtensionCheck(True, True)
-        rng = Random(seed)
-        for _ in range(trials):
-            chosen = [rng.choice(masks) for _ in range(tt)]
-            acc = (1 << self.size) - 1
-            for m in chosen:
-                acc &= m
-            if not acc:
-                ce = tuple(reps[m] for m in chosen)
-                return ExtensionCheck(False, False, ce)
-        return ExtensionCheck(True, False)
+        full = (1 << self.size) - 1
+        comps = sorted((full ^ m for m in reps if m != full), key=int.bit_count, reverse=True)
+        # no j complements cover more than reach[j] vertices
+        reach = list(accumulate(map(int.bit_count, comps), initial=0))
+        if reach[min(t, len(comps))] < self.size:
+            return ExtensionCheck(True, True, proven=t)
+        sets: list[int] = []
+        for c in comps:
+            if all(c & s != c for s in sets):  # supersets come first
+                sets.append(c)
+        by_vertex = [[i for i, c in enumerate(sets) if c >> v & 1] for v in range(self.size)]
+        if not all(by_vertex):  # a vertex no complement holds: every choice has a witness
+            return ExtensionCheck(True, True, proven=t)
+        chosen: list[int] = []
+        nodes = 0
 
-    def has_extension_property(self, t: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> bool:
-        return self.check_extension_property(t, budget=budget).holds
+        def cover(uncovered: int, spare: int, banned: int) -> bool:
+            # a complement holding the least uncovered vertex, then <= spare more
+            nonlocal nodes
+            branch = by_vertex[(uncovered & -uncovered).bit_length() - 1]
+            nodes += len(branch)
+            if nodes > COVER_SEARCH_NODES:
+                raise _NodeBoundReached
+            for i in branch:
+                if banned >> i & 1:
+                    continue
+                rest = uncovered & ~sets[i]
+                if not rest or rest.bit_count() <= reach[spare] and cover(rest, spare - 1, banned):
+                    chosen.append(i)
+                    return True
+                banned |= 1 << i
+            return False
+
+        proven = 0
+        try:
+            for limit in range(1, min(t, len(sets)) + 1):
+                if reach[limit] >= self.size and cover(full, limit - 1, 0):
+                    ce = tuple(sorted(reps[full ^ sets[i]] for i in chosen))
+                    return ExtensionCheck(False, True, ce, proven)
+                proven = limit
+        except _NodeBoundReached:
+            return ExtensionCheck(True, False, proven=proven)
+        return ExtensionCheck(True, True, proven=t)
 
     # -- cliques and independent sets --------------------------------------
 

@@ -15,12 +15,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .errors import GenerationError, InputError
-from .hypergraph import (
-    DEFAULT_EXTENSION_BUDGET,
-    Hypergraph,
-    complete_hypergraph,
-    random_hypergraph,
-)
+from .hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 
 TAIL_KINDS = ("complete_growing", "repeat_last_complete")
 
@@ -173,16 +168,11 @@ class ValidationReport:
         return not self.problems
 
 
-def validate(
-    t: Template,
-    depth: int,
-    budget: int = DEFAULT_EXTENSION_BUDGET,
-    trials: int = 2000,
-    seed: int = 0,
-) -> ValidationReport:
+def validate(t: Template, depth: int) -> ValidationReport:
     """Check levels n < depth: f(n) <= H_n and the extension property at
     t = f(n).  Tail levels are accepted analytically (complete hypergraphs
-    satisfy extension for every t <= H_n).  First problem per level."""
+    satisfy extension for every t <= H_n).  First problem per level.
+    ``exhaustive`` is False when the node bound stopped a level's check."""
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     problems = []
@@ -192,7 +182,7 @@ def validate(
         if f > h.size or f < 1:
             problems.append(LevelProblem(n, "arity_bound", f"f({n}) = {f} outside 1..{h.size}"))
             continue
-        chk = h.check_extension_property(f, budget=budget, trials=trials, seed=seed)
+        chk = h.check_extension_property(f)
         exhaustive = exhaustive and chk.exhaustive
         if not chk.holds:
             problems.append(
@@ -205,19 +195,13 @@ def validate(
     return ValidationReport(depth, tuple(problems), exhaustive)
 
 
-def max_extension_arity(h: Hypergraph, cap: int, budget: int = DEFAULT_EXTENSION_BUDGET) -> int:
-    """Largest t <= cap with the extension property, or 0 if none.
-
-    Monotone in t, so a linear scan from 1 stops at the first failure."""
+def max_extension_arity(h: Hypergraph, cap: int) -> int:
+    """Largest t <= cap with the extension property, or 0 if none: one
+    smallest-cover search, exact unless the node bound stops it, in which
+    case the largest t it proved."""
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
-    best = 0
-    for t in range(1, cap + 1):
-        if h.has_extension_property(t, budget=budget):
-            best = t
-        else:
-            break
-    return best
+    return h.check_extension_property(cap).proven
 
 
 def complete_template(arity: int, prefix_depth: int = 1) -> Template:
@@ -240,8 +224,9 @@ def random_template(
     retry_budget: int = 20,
 ) -> Template:
     """Sample each level's uniform edges independently with edge_prob, then
-    verify the extension property at target_f(n); resample on failure and,
-    when retries run out, degrade f to the largest arity that does hold.
+    verify the extension property at target_f(n); resample unless it is
+    proven and, when retries run out, degrade f to the largest arity that is
+    proven to hold.
 
     Deterministic for a given seed.  Any smaller f satisfying the axioms
     still yields a template, which makes degradation sound."""
@@ -259,7 +244,7 @@ def random_template(
         h = None
         for _ in range(retry_budget):
             cand = random_hypergraph(arity, size, edge_prob, rng)
-            if cand.has_extension_property(tf):
+            if cand.check_extension_property(tf).proven == tf:
                 h, f = cand, tf
                 break
         else:

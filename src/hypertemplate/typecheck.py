@@ -18,7 +18,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
-from .template import Template
+from .template import Template, max_extension_arity
 from .tree import Stem, extend_canonically, require_in_tree
 
 
@@ -289,7 +289,7 @@ def transfer_check(
     Samples formulas with up to 2(k-1) parameters and at most m demanded
     edges (the count the stabilized arities must cover).  A consistent
     formula with demanded edges is settled without search when it demands
-    no more edges than the count for which level ms exactly has the
+    no more edges than the count for which level ms is proven to have the
     extension property: its extended tuples then always share a witness.
     Any other such formula is checked by enumerating the extensions of the
     parameters that occur in a demanded edge, the rest held at vertex 0,
@@ -308,16 +308,10 @@ def transfer_check(
         raise PreconditionError(
             f"prefix depth {t.prefix_len} below stabilization level {ms} + 1"
         )
-    # largest count <= the most demanded edges a trial can draw for which
-    # level ms exhaustively has the extension property, hence has it at
-    # every smaller count; a sampled "holds" proves nothing
-    h = t.level_hypergraph(ms)
-    proven = 0
-    for count in range(1, min(m, comb(2 * (t.arity - 1), t.arity - 1)) + 1):
-        check = h.check_extension_property(count)
-        if not (check.holds and check.exhaustive):
-            break
-        proven = count
+    # largest count, up to the most demanded edges a trial can draw, for
+    # which level ms is proven to have the extension property
+    cap = min(m, comb(2 * (t.arity - 1), t.arity - 1))
+    proven = max_extension_arity(t.level_hypergraph(ms), cap)
     pool_size = min(workers, os.cpu_count() or 1, -(-trials // _CHUNK))
     ces = []
     if pool_size > 1:

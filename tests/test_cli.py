@@ -69,10 +69,22 @@ class TestExitCodes:
         p.write_text("garbage\n")
         assert run(["validate-template", str(p)]) == 2
 
-    def test_arity_mismatch_exit_2(self, complete_file, tmp_path):
+    @pytest.mark.parametrize("verb", ["decide-type", "signature", "oracle"])
+    def test_arity_mismatch_exit_2(self, verb, complete_file, tmp_path, capsys):
         spec = PositiveTypeSpec(params=(((0,),),))
         ts = write_typespec(tmp_path, spec, 2)
-        assert run(["decide-type", complete_file, ts]) == 2
+        assert run([verb, complete_file, ts]) == 2
+        assert capsys.readouterr().err == "input error: typespec arity 2 != template arity 3\n"
+
+    def test_validate_node_bound_stop_exit_3(self, tmp_path, capsys, monkeypatch):
+        p = tmp_path / "t.tpl"
+        p.write_text(ser.dump_template(random_template(3, [10], 0.9, [4], seed=0)))
+        assert run(["validate-template", str(p), "--depth", "1"]) == 0
+        assert "exhaustive true" in capsys.readouterr().out
+        monkeypatch.setattr(hypertemplate.hypergraph, "COVER_SEARCH_NODES", 0)
+        assert run(["validate-template", str(p), "--depth", "1"]) == 3
+        out = capsys.readouterr().out
+        assert "exhaustive false" in out and "result valid" in out
 
     def test_qe_transfer_workers_below_one_exit_2(self, random_file, capsys):
         assert run(["qe-transfer", random_file, "--m", "2", "--workers", "0"]) == 2

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertemplate import hypergraph
 from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 from hypertemplate.oracle import naive_extension_property, naive_extension_witness
+from hypertemplate.template import max_extension_arity
 
 
 def small_random(seed, arity=3, size=4, p=0.5):
@@ -128,18 +130,18 @@ class TestExtensionProperty:
     def test_complete_holds(self):
         h = complete_hypergraph(3, 5)
         for t in range(1, 5):
-            assert h.has_extension_property(t)
+            assert h.check_extension_property(t).holds
 
     def test_empty_uniform_t1_holds_via_repetition(self):
         # any candidate among the listed vertices completes by repetition
         h = Hypergraph(3, 4)
-        assert h.has_extension_property(1)
+        assert h.check_extension_property(1).holds
         assert naive_extension_property(h, 1)
 
     def test_one_uniform_edge_t2_still_holds(self):
         # the named edge {0,1,2} covers every disjoint pair of tuples
         h = Hypergraph(3, 4, [(0, 1, 2)])
-        assert h.has_extension_property(2)
+        assert h.check_extension_property(2).holds
         assert naive_extension_property(h, 2)
 
     def test_genuine_failure(self):
@@ -153,7 +155,7 @@ class TestExtensionProperty:
     def test_monotone_in_t(self):
         for seed in range(10):
             h = small_random(seed, size=4, p=0.7)
-            held = [h.has_extension_property(t) for t in range(1, 5)]
+            held = [h.check_extension_property(t).holds for t in range(1, 5)]
             # once it fails it stays failed
             assert held == sorted(held, reverse=True)
 
@@ -161,12 +163,53 @@ class TestExtensionProperty:
         for seed in range(12):
             h = small_random(seed, arity=2, size=4, p=0.4)
             for t in (1, 2, 3):
-                assert h.has_extension_property(t) == naive_extension_property(h, t)
+                assert h.check_extension_property(t).holds == naive_extension_property(h, t)
 
-    def test_sampled_mode_flagged(self):
-        h = complete_hypergraph(2, 3)
-        chk = h.check_extension_property(20, budget=12, trials=50)
-        assert chk.holds and not chk.exhaustive
+    @given(
+        st.sampled_from([(2, 6), (3, 3), (3, 4), (4, 3)]),
+        st.sampled_from([0.3, 0.6, 0.85, 0.95]),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cover_search_matches_oracle(self, shape, p, seed):
+        k, size = shape
+        h = random_hypergraph(k, size, p, Random(seed))
+        # the oracle walks (size^(k-1))^t choices: keep it to desk scale
+        ts = [t for t in range(1, 5) if (size ** (k - 1)) ** t <= 20000]
+        held = [naive_extension_property(h, t) for t in ts]
+        for t, naive in zip(ts, held):
+            chk = h.check_extension_property(t)
+            assert chk.exhaustive and chk.holds == naive
+            if naive:
+                assert chk.counterexample is None and chk.proven == t
+            else:
+                # a smallest cover: every choice of fewer tuples has a witness
+                assert 1 <= len(chk.counterexample) <= t
+                assert naive_extension_witness(h, chk.counterexample) is None
+                assert chk.proven == len(chk.counterexample) - 1
+                assert chk.proven == 0 or naive_extension_property(h, chk.proven)
+        for cap in ts:
+            assert max_extension_arity(h, cap) == max(
+                (t for t, naive in zip(ts, held) if t <= cap and naive), default=0
+            )
+
+    def test_sampled_arity_regression(self):
+        # sampling once reported t = 7 here; these seven tuples share no witness
+        h = random_hypergraph(3, 14, 0.95, Random(1))
+        chk = h.check_extension_property(7)
+        assert not chk.holds and chk.exhaustive
+        assert chk.counterexample == (
+            (2, 10), (3, 8), (4, 13), (5, 7), (5, 10), (8, 12), (10, 13)
+        )
+        assert naive_extension_witness(h, chk.counterexample) is None
+        assert h.check_extension_property(6) == hypergraph.ExtensionCheck(True, True, None, 6)
+
+    def test_node_bound_stop_flagged(self, monkeypatch):
+        h = Hypergraph(3, 4)  # fails at t = 2 once the search may visit a node
+        monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 0)
+        chk = h.check_extension_property(2)
+        assert chk.holds and not chk.exhaustive and chk.counterexample is None
+        assert chk.proven == 1
 
     def test_t_zero_rejected(self):
         with pytest.raises(InputError):

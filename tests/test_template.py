@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from hypertemplate import hypergraph
 from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
 from hypertemplate.template import (
@@ -117,9 +118,9 @@ class TestMaxExtensionArity:
     def test_boundary_consistency(self):
         h = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3), (0, 2, 3)])
         r = max_extension_arity(h, 4)
-        assert h.has_extension_property(r)
+        assert h.check_extension_property(r).holds
         if r < 4:
-            assert not h.has_extension_property(r + 1)
+            assert not h.check_extension_property(r + 1).holds
 
 
 class TestRandomTemplate:
@@ -151,6 +152,27 @@ class TestRandomTemplate:
         # via repetition edges, so generation degrades instead of failing
         t = random_template(2, [6], 1e-9, [3], seed=0, retry_budget=2)
         assert t.f_value(0) < 3 and validate(t, 1).valid
+
+    def test_declared_arities_proven(self):
+        # a sampled check once accepted f = 7 here for 16 of these seeds
+        # (1, 2, 5, 7, 8, 10, 11, 16, 17, 27, 31, 32, 42, 51, 54, 58)
+        for seed in range(60):
+            t = random_template(3, [14], 0.95, [7], seed=seed)
+            for h, f in t.levels:
+                chk = h.check_extension_property(f)
+                assert chk.holds and chk.exhaustive, seed
+
+    def test_node_bound_stop_not_accepted(self, monkeypatch):
+        # with no search node allowed, neither candidate is proven at t = 4
+        args = (3, [10], 0.9, [4])
+        assert random_template(*args, seed=0, retry_budget=2).f_value(0) == 4
+        with monkeypatch.context() as m:
+            m.setattr(hypergraph, "COVER_SEARCH_NODES", 0)
+            t = random_template(*args, seed=0, retry_budget=2)
+        h, f = t.levels[0]
+        assert 1 <= f < 4
+        chk = h.check_extension_property(f)
+        assert chk.holds and chk.exhaustive
 
 
 class TestStabilizationLevel:

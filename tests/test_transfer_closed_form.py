@@ -8,12 +8,12 @@ import hashlib
 import pytest
 
 from hypertemplate import (
-    ExtensionCheck,
-    Hypergraph,
     InputError,
     complete_template,
     corrupt_level,
+    hypergraph,
     m_star,
+    max_extension_arity,
     naive_transfer_check,
     random_template,
     transfer_check,
@@ -76,14 +76,15 @@ def test_reports_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
 
 
-def test_sampled_extension_property_settles_no_trial(monkeypatch):
-    # a sampled "holds" is no proof: trials must still be enumerated
+def test_unproven_extension_property_settles_no_trial(monkeypatch):
+    # a count the node bound kept from being proven settles no trial: the
+    # search stops before ruling out covers of two tuples, so trials
+    # demanding two edges must still be enumerated
     name, t, m = next(g for g in GRID if g[0] == "k2-m2-keep0.0")
     want = naive_transfer_check(t, m, TRIALS, len(name))
     assert want.counterexamples
-    monkeypatch.setattr(
-        Hypergraph, "check_extension_property", lambda self, count: ExtensionCheck(True, False)
-    )
+    monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 0)
+    assert max_extension_arity(t.level_hypergraph(want.m_star), m) == 1
     assert transfer_check(t, m, TRIALS, len(name)) == want
 
 

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success / consistent / holds, 1 definite negative result
 (inconsistent, counterexample, infeasible, validation failure), 2 input
-error, 3 budget exhausted (indeterminate).  Every report echoes its seed
-and budgets; identical configurations produce byte-identical output.
+error, 3 budget exhausted (indeterminate), 4 internal error (a violated
+guarantee or any unexpected exception, reported on one stderr line).
+Every report echoes its seed and budgets; identical configurations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import isinf
 from pathlib import Path
 
 from . import serialization as ser
-from .errors import BudgetExhausted, GenerationError, HypertemplateError, InputError
+from .errors import BudgetExhausted, GenerationError, InputError
 from .oracle import brute_force_positive_type
 from .satsim import Distribution, build_distribution, verify_realization
 from .signature import (
@@ -37,7 +39,7 @@ from .typecheck import (
     transfer_check,
 )
 
-OK, NEGATIVE, INPUT_ERROR, INDETERMINATE = 0, 1, 2, 3
+OK, NEGATIVE, INPUT_ERROR, INDETERMINATE, INTERNAL = 0, 1, 2, 3, 4
 
 
 def _report(verb: str, seed, pairs) -> str:
@@ -48,7 +50,10 @@ def _report(verb: str, seed, pairs) -> str:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            raise InputError(f"cannot write {args.out}: {e}")
     else:
         sys.stdout.write(text)
 
@@ -181,15 +186,18 @@ def cmd_qe_transfer(args) -> int:
         ("m", rep.m),
         ("m-star", rep.m_star),
         ("trials", rep.trials),
+        ("exhaustive", str(rep.exhaustive).lower()),
         ("counterexamples", len(rep.counterexamples)),
     ]
-    for c in rep.counterexamples[:10]:
-        pairs.append(
-            ("counterexample", f"trial {c.trial} low {c.consistent_low} high {c.consistent_high}")
-        )
+    for c in rep.counterexamples:
+        edges = " ".join(",".join(map(str, tup)) for tup in sorted(c.spec.positive))
+        ext = " ".join(str(leaf[-1]) for leaf in c.extension)
+        pairs.append(("counterexample", f"edges {edges} extension {ext}"))
     pairs.append(("result", "holds" if rep.holds else "fails"))
     _emit(args, _report("qe-transfer", args.seed, pairs))
-    return OK if rep.holds else NEGATIVE
+    if not rep.holds:
+        return NEGATIVE
+    return OK if rep.exhaustive else INDETERMINATE
 
 
 def cmd_signature(args) -> int:
@@ -448,9 +456,10 @@ def run(argv=None) -> int:
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return INPUT_ERROR
-    except HypertemplateError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return INPUT_ERROR
+    except Exception as e:  # InternalConsistencyError or anything unforeseen
+        message = " ".join(f"{type(e).__name__}: {e}".split())
+        sys.stderr.write(f"internal error: {message}\n")
+        return INTERNAL
 
 
 def main() -> None:

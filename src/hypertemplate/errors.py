@@ -1,6 +1,8 @@
 """Exception vocabulary shared by all modules.
 
-The CLI maps these onto exit codes: InputError -> 2, BudgetExhausted -> 3.
+The CLI maps these onto exit codes: GenerationError -> 1, InputError -> 2,
+BudgetExhausted -> 3, and InternalConsistencyError, like any exception it
+does not expect, -> 4 with one "internal error:" line on stderr.
 Definite negative results (inconsistent, counterexample, infeasible) are
 ordinary return values, not exceptions.
 """
@@ -31,7 +33,8 @@ class BudgetExhausted(HypertemplateError):
 
 
 class InternalConsistencyError(HypertemplateError):
-    """A guarantee that should hold by construction was violated.
+    """A guarantee that should hold by construction was violated, e.g. a
+    template whose declared extension arities do not actually hold.
 
-    Seeing this means the inputs were invalid (e.g. a template whose
-    declared extension arities do not actually hold)."""
+    The inputs passed every check meant to reject them, so the CLI reports
+    this as an internal error (exit 4), not as an input error."""

@@ -109,10 +109,11 @@ def naive_f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFun
 
 
 def naive_transfer_check(t: Template, m: int, trials: int, seed: int) -> TransferReport:
-    """Draw the same seeded trials as transfer_check and walk every
-    extension of every parameter, testing each with is_edge directly,
-    instead of settling trials by the extension property at m* and
-    enumerating only the parameters in demanded edges."""
+    """Draw seeded formulas with k-1 to 2(k-1) parameters and at most m
+    demanded edges, and walk every extension of every parameter, testing
+    each with is_edge directly, where transfer_check decides the property
+    by a search at level m*.  Every counterexample found here implies that
+    transfer_check fails; finding none proves nothing."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     ms = m_star(t, m)
@@ -149,6 +150,6 @@ def naive_transfer_check(t: Template, m: int, trials: int, seed: int) -> Transfe
                 for s in range(h.size)
             )
             if not high:
-                ces.append(TransferCounterexample(trial, spec, ext_leaves, True, False))
+                ces.append(TransferCounterexample(spec, ext_leaves, trial))
                 break
     return TransferReport(m, ms, trials, tuple(ces))

@@ -1,24 +1,25 @@
-"""Decision procedures for positive R-types and complete qf formulas.
+"""Decision procedures for positive R-types, complete qf formulas and level
+transfer.
 
 The load-bearing observation: the witness search for a new element
 decomposes level by level, because the coordinate chosen at level n is
 constrained only by level-n edges.  That turns positive-type consistency
 into a per-level scan instead of a search over whole stems, and the
 brute-force stem enumeration in oracle.py exists precisely to confirm the
-two routes agree.
+two routes agree.  Level transfer decomposes the same way: it depends on
+the stabilization level alone, where one bounded smallest-cover search
+decides it (oracle.py samples formulas instead).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
-from random import Random
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError, PreconditionError
-from .template import Template, max_extension_arity
+from .template import Template
 from .tree import Stem, extend_canonically, require_in_tree
 
 
@@ -205,16 +206,17 @@ def decide_qf_formula(
 
 # -- the level-transfer experiment -----------------------------------------
 
-_CHUNK = 64  # trials per task handed to a worker process
-
 
 @dataclass(frozen=True)
 class TransferCounterexample:
-    trial: int
+    """A complete qf formula consistent at level m* and an extension of its
+    parameter leaves to level m* + 1 under which no x satisfies it.
+    ``trial`` numbers the oracle's sampled trial; the exact decision leaves
+    it None."""
+
     spec: QfFormulaSpec
     extension: tuple[tuple[int, ...], ...]  # extended parameter leaves
-    consistent_low: bool
-    consistent_high: bool
+    trial: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -223,82 +225,35 @@ class TransferReport:
     m_star: int
     trials: int
     counterexamples: tuple[TransferCounterexample, ...]
+    exhaustive: bool = True
 
     @property
     def holds(self) -> bool:
         return not self.counterexamples
 
 
-def _transfer_trial(
-    t: Template, m: int, ms: int, proven: int, trial: int, seed: int
-) -> Optional[TransferCounterexample]:
-    rng = Random(f"{seed}:{trial}")
-    k = t.arity
-    n = rng.randint(k - 1, 2 * (k - 1))
-    leaves = tuple(
-        tuple(rng.randrange(t.level_size(l)) for l in range(ms)) for _ in range(n)
-    )
-    x = tuple(rng.randrange(t.level_size(l)) for l in range(ms))
-    all_tuples = list(combinations(range(n), k - 1))
-    c_size = rng.randint(0, min(m, len(all_tuples)))
-    positive = frozenset(rng.sample(all_tuples, c_size))
-    spec = QfFormulaSpec(x_leaf=x, param_leaves=leaves, positive=positive)
-    low = decide_qf_formula(t, ms, spec)
-    if not low or not positive:
-        # an inconsistent or edge-free formula stays so under any extension
-        return None
-    if len(positive) <= proven:
-        # any extension yields at most len(positive) (k-1)-tuples at level
-        # ms, and level ms has the extension property for that many
-        return None
-    h = t.level_hypergraph(ms)
-    full = (1 << h.size) - 1
-    # parameters outside every positive tuple change no mask: hold them at
-    # 0, so the first hit is the lexicographically least full extension
-    used = sorted({i for tup in positive for i in tup})
-    ext = [0] * n
-    for values in product(range(h.size), repeat=len(used)):
-        for i, v in zip(used, values):
-            ext[i] = v
-        acc = full
-        for tup in positive:
-            acc &= h.witness_mask(tuple(ext[i] for i in tup))
-            if not acc:
-                break
-        high = bool(acc)
-        if high != low:
-            ext_leaves = tuple(leaves[i] + (ext[i],) for i in range(n))
-            # confirm through the full procedure before reporting
-            confirmed = any(
-                decide_qf_formula(t, ms + 1, QfFormulaSpec(
-                    x_leaf=x + (s,), param_leaves=ext_leaves, positive=positive))
-                for s in range(h.size)
-            )
-            if confirmed != low:
-                return TransferCounterexample(trial, spec, ext_leaves, low, confirmed)
-    return None
-
-
 def transfer_check(
     t: Template, m: int, trials: int, seed: int, workers: int = 1
 ) -> TransferReport:
-    """Check the level-transfer property: a complete qf formula consistent
-    at the stabilization level ms stays consistent at level ms + 1 for
-    every one-level extension of its parameter leaves.
+    """Decide the level-transfer property: a complete qf formula with up to
+    2(k-1) parameters and at most m demanded edges that is consistent at the
+    stabilization level ms stays consistent at ms + 1 under every one-level
+    extension of its parameter leaves.
 
-    Samples formulas with up to 2(k-1) parameters and at most m demanded
-    edges (the count the stabilized arities must cover).  A consistent
-    formula with demanded edges is settled without search when it demands
-    no more edges than the count for which level ms is proven to have the
-    extension property: its extended tuples then always share a witness.
-    Any other such formula is checked by enumerating the extensions of the
-    parameters that occur in a demanded edge, the rest held at vertex 0,
-    and every mismatch is confirmed through decide_qf_formula at ms + 1.
-    On a valid template the expected counterexample count is zero; the
-    corruption harness in tests shows the check has power.  Each trial is
-    seeded independently, so results do not depend on worker partitioning;
-    the pool holds at most min(workers, CPU count, 64-trial chunks)
-    processes, and one means the serial path."""
+    The outcome depends on level ms alone.  Past the equality pattern,
+    consistency checks only the demanded edges, and every set of demanded
+    edges has a formula consistent at ms: x and every parameter on one stem,
+    so each demanded tuple repeats a vertex below ms.  So transfer fails
+    exactly when level ms has a family of at most min(m, C(2(k-1), k-1))
+    distinct (k-1)-sets, on at most 2(k-1) vertices in all, with no common
+    witness.  One smallest-cover search over level ms, restricted to such
+    families, decides it: when it finds none the result holds, with proof;
+    a found family gives the one counterexample: x and every parameter on
+    the stem (0,) * ms, parameter i extended by the family's i-th vertex.
+    ``exhaustive`` is False when the node bound stopped the search; the
+    report then holds no counterexample and proves nothing.  trials, seed
+    and workers are validated but do not change the result (the sampled
+    trials live on as oracle.naive_transfer_check)."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if workers < 1:
@@ -308,28 +263,17 @@ def transfer_check(
         raise PreconditionError(
             f"prefix depth {t.prefix_len} below stabilization level {ms} + 1"
         )
-    # largest count, up to the most demanded edges a trial can draw, for
-    # which level ms is proven to have the extension property
-    cap = min(m, comb(2 * (t.arity - 1), t.arity - 1))
-    proven = max_extension_arity(t.level_hypergraph(ms), cap)
-    pool_size = min(workers, os.cpu_count() or 1, -(-trials // _CHUNK))
-    ces = []
-    if pool_size > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [(t, m, ms, proven, i, seed) for i in range(trials)]
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for res in pool.map(_transfer_trial_star, args, chunksize=_CHUNK):
-                if res is not None:
-                    ces.append(res)
-    else:
-        for i in range(trials):
-            res = _transfer_trial(t, m, ms, proven, i, seed)
-            if res is not None:
-                ces.append(res)
-    ces.sort(key=lambda c: c.trial)
-    return TransferReport(m, ms, trials, tuple(ces))
-
-
-def _transfer_trial_star(args):
-    return _transfer_trial(*args)
+    span = 2 * (t.arity - 1)
+    cap = min(m, comb(span, t.arity - 1))
+    chk = t.level_hypergraph(ms).check_extension_property(cap, span)
+    ces = ()
+    if chk.counterexample:
+        verts = sorted({v for tup in chk.counterexample for v in tup})
+        stem = (0,) * ms
+        spec = QfFormulaSpec(
+            x_leaf=stem,
+            param_leaves=(stem,) * len(verts),
+            positive=frozenset(tuple(map(verts.index, tup)) for tup in chk.counterexample),
+        )
+        ces = (TransferCounterexample(spec, tuple(stem + (v,) for v in verts)),)
+    return TransferReport(m, ms, trials, ces, chk.exhaustive)

@@ -9,7 +9,8 @@ import hypertemplate
 
 from hypertemplate import serialization as ser
 from hypertemplate.cli import build_parser, run
-from hypertemplate.template import complete_template, random_template
+from hypertemplate.errors import InternalConsistencyError
+from hypertemplate.template import complete_template, corrupt_level, random_template
 from hypertemplate.theory import FiniteModel, build_random_model
 from hypertemplate.typecheck import PositiveTypeSpec
 from hypertemplate.signature import ParamType
@@ -64,6 +65,11 @@ class TestExitCodes:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["validate-template", str(tmp_path / "absent.tpl")]) == 2
 
+    def test_unwritable_out_exit_2(self, random_file, tmp_path, capsys):
+        out = tmp_path / "absent" / "rep.txt"
+        assert run(["qe-transfer", random_file, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: cannot write {out}: ")
+
     def test_malformed_file_exit_2(self, tmp_path):
         p = tmp_path / "bad.tpl"
         p.write_text("garbage\n")
@@ -85,6 +91,40 @@ class TestExitCodes:
         assert run(["validate-template", str(p), "--depth", "1"]) == 3
         out = capsys.readouterr().out
         assert "exhaustive false" in out and "result valid" in out
+
+    @pytest.fixture
+    def broken_file(self, tmp_path):
+        # level m* = 1 keeps no edge: vertices 0 and 1 share no witness
+        p = tmp_path / "broken.tpl"
+        p.write_text(ser.dump_template(corrupt_level(complete_template(2, 4), 1)))
+        return str(p)
+
+    def test_qe_transfer_failure_exit_1(self, broken_file, capsys):
+        assert run(["qe-transfer", broken_file, "--m", "2"]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith(
+            "m-star 1\ntrials 200\nexhaustive true\ncounterexamples 1\n"
+            "counterexample edges 0 1 extension 0 1\nresult fails\n"
+        )
+
+    def test_qe_transfer_node_bound_stop_exit_3(self, broken_file, capsys, monkeypatch):
+        monkeypatch.setattr(hypertemplate.hypergraph, "COVER_SEARCH_NODES", 0)
+        assert run(["qe-transfer", broken_file, "--m", "2"]) == 3
+        out = capsys.readouterr().out
+        assert "exhaustive false\ncounterexamples 0\nresult holds\n" in out
+
+    @pytest.mark.parametrize("exc,line", [
+        (InternalConsistencyError("declared arity\nfails"),
+         "internal error: InternalConsistencyError: declared arity fails\n"),
+        (RuntimeError("unforeseen"), "internal error: RuntimeError: unforeseen\n"),
+    ])
+    def test_internal_error_exit_4(self, exc, line, random_file, capsys, monkeypatch):
+        def verb_body(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(hypertemplate.cli, "transfer_check", verb_body)
+        assert run(["qe-transfer", random_file]) == 4
+        assert capsys.readouterr() == ("", line)
 
     def test_qe_transfer_workers_below_one_exit_2(self, random_file, capsys):
         assert run(["qe-transfer", random_file, "--m", "2", "--workers", "0"]) == 2
@@ -200,7 +240,7 @@ class TestPipelines:
     def test_qe_transfer(self, random_file, capsys):
         assert run(["qe-transfer", random_file, "--m", "2", "--trials", "30"]) == 0
         out = capsys.readouterr().out
-        assert "result holds" in out and "counterexamples 0" in out
+        assert "exhaustive true\ncounterexamples 0\nresult holds" in out
 
     def test_signature(self, complete_file, tmp_path, capsys):
         spec = PositiveTypeSpec(params=(((0, 1), (0, 0)),))

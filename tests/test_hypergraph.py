@@ -211,31 +211,35 @@ class TestExtensionProperty:
         assert chk.holds and not chk.exhaustive and chk.counterexample is None
         assert chk.proven == 1
 
+    @given(
+        st.sampled_from([(2, 6), (3, 5), (3, 6), (4, 5)]),
+        st.sampled_from([0.3, 0.6, 0.85]),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_span_search_matches_family_walk(self, shape, p, seed):
+        k, size = shape
+        h = random_hypergraph(k, size, p, Random(seed))
+        sets = list(itertools.combinations(range(size), k - 1))
+        for span in range(k - 1, min(2 * (k - 1), size) + 1):
+            # families of distinct sets on at most span vertices, smallest first
+            fams = (
+                fam for r in range(1, 5) for fam in itertools.combinations(sets, r)
+                if len({v for tup in fam for v in tup}) <= span
+            )
+            least = next((len(f) for f in fams if naive_extension_witness(h, f) is None), None)
+            for t in range(1, 5):
+                chk = h.check_extension_property(t, span)
+                assert chk.exhaustive
+                assert chk.holds == (least is None or least > t)
+                if not chk.holds:
+                    assert len(chk.counterexample) == least
+                    assert len({v for tup in chk.counterexample for v in tup}) <= span
+                    assert naive_extension_witness(h, chk.counterexample) is None
+
     def test_t_zero_rejected(self):
         with pytest.raises(InputError):
             Hypergraph(3, 4).check_extension_property(0)
-
-
-class TestCliquesAndIndependentSets:
-    def test_complete_full_clique(self):
-        h = complete_hypergraph(3, 5)
-        assert h.find_k_full_clique(5) == frozenset(range(5))
-
-    def test_empty_uniform_independent(self):
-        h = Hypergraph(3, 5)
-        assert h.find_k_independent(4) == frozenset(range(4))
-
-    def test_clique_absent(self):
-        h = Hypergraph(3, 4, [(0, 1, 2), (0, 1, 3)])
-        assert h.find_k_full_clique(4) is None
-
-    def test_small_clique_vacuous(self):
-        h = Hypergraph(3, 5)
-        assert h.find_k_full_clique(2) == frozenset({0, 1})
-
-    def test_independent_below_arity_rejected(self):
-        with pytest.raises(InputError):
-            Hypergraph(3, 5).find_k_independent(2)
 
 
 class TestConstruction:

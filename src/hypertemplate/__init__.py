@@ -95,6 +95,7 @@ from .satsim import (
 )
 from .oracle import (
     brute_force_positive_type,
+    naive_edge_partners,
     naive_extension_property,
     naive_extension_witness,
     naive_f_signature,

@@ -2,18 +2,17 @@
 
 A k-full hypergraph stores only its k-uniform part (edges on k distinct
 vertices); every tuple with fewer than k distinct entries counts as an edge
-by definition.  All queries derive the full edge relation at lookup time:
-a single witness mask scans the edges on its first lookup, while the bulk
-path (every (k-1)-tuple at once, for extension checks) derives all missing
-masks from one pass over the edges.  The extension property is decided
-exactly, by a search for a smallest cover of the vertex set by complements
-of witness masks, within a bound on the nodes it visits.
+by definition.  Witness masks come from one completion table, built in
+one pass over the edges when the first mask is needed and kept for the
+level's lifetime.  The extension property is decided exactly, by a search
+for a smallest cover of the vertex set by complements of witness masks,
+within a bound on the nodes it visits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -54,7 +53,7 @@ class Hypergraph:
     implicit.  All operations are pure.
     """
 
-    __slots__ = ("arity", "size", "uniform_edges", "_edge_sets", "_mask_cache")
+    __slots__ = ("arity", "size", "uniform_edges", "_table", "_mask_cache")
 
     def __init__(self, arity: int, size: int, uniform_edges: Iterable[Iterable[int]] = ()):
         if arity < 2:
@@ -72,7 +71,7 @@ class Hypergraph:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "uniform_edges", frozenset(edges))
-        object.__setattr__(self, "_edge_sets", edges)
+        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_mask_cache", {})
 
     def __setattr__(self, name, value):  # immutability guard
@@ -109,12 +108,13 @@ class Hypergraph:
             raise InputError(f"vertex out of range in {tuple(vertices)}")
         if len(distinct) < self.arity:
             return True
-        return frozenset(distinct) in self._edge_sets
+        return frozenset(distinct) in self.uniform_edges
 
     def witness_mask(self, partial: tuple[int, ...]) -> int:
         """Bitmask of all s with is_edge((s,) + partial).
 
-        Cached; the workhorse behind witness search and extension checks."""
+        Read off the completion table and memoized per tuple; the workhorse
+        behind witness search."""
         mask = self._mask_cache.get(partial)
         if mask is not None:
             return mask
@@ -122,21 +122,24 @@ class Hypergraph:
             raise InputError(f"expected a {self.arity - 1}-tuple, got length {len(partial)}")
         if any(v < 0 or v >= self.size for v in partial):
             raise InputError(f"vertex out of range in {partial}")
-        mask = 0
-        if len(set(partial)) < self.arity - 1:
-            # any s keeps the tuple below k distinct entries or not; with a
-            # repeat already present every s yields an edge
-            mask = (1 << self.size) - 1
-        else:
-            for v in partial:  # s repeating a listed vertex is always an edge
-                mask |= 1 << v
-            base = frozenset(partial)
-            for e in self._edge_sets:
-                if base < e:
-                    (s,) = e - base
-                    mask |= 1 << s
-        self._mask_cache[partial] = mask
+        mask = self._mask_cache[partial] = self._mask(partial)
         return mask
+
+    def _mask(self, partial: tuple[int, ...]) -> int:
+        """Witness mask of a checked (k-1)-tuple.  With a repeated vertex
+        every s gives an edge; otherwise the s completing its vertex set to
+        a uniform edge, per the completion table (built on first use), plus
+        its own vertices (s repeating one is always an edge)."""
+        bits = 0
+        for v in partial:
+            bits |= 1 << v
+        if bits.bit_count() < self.arity - 1:
+            return (1 << self.size) - 1
+        table = self._table
+        if table is None:
+            table = _completion_table(self.uniform_edges)
+            object.__setattr__(self, "_table", table)
+        return table.get(bits, 0) | bits
 
     # -- extension property ------------------------------------------------
 
@@ -151,33 +154,6 @@ class Hypergraph:
                 return None
         return (mask & -mask).bit_length() - 1
 
-    def _distinct_masks(self) -> dict[int, tuple[int, ...]]:
-        """Map each distinct witness mask to a representative (k-1)-tuple,
-        the first in product order, caching the mask of every tuple.
-
-        Masks missing from the cache come from one pass over the edges, not
-        one scan per tuple: an edge e gives bit s to the vertex set e - {s},
-        and a tuple of k-1 distinct vertices adds its own vertices (s
-        repeating one is always an edge); a tuple with a repeat gets all."""
-        cache = self._mask_cache
-        width = self.arity - 1
-        full = (1 << self.size) - 1
-        table: Optional[dict[int, int]] = None
-        reps: dict[int, tuple[int, ...]] = {}
-        for tup in product(range(self.size), repeat=width):
-            m = cache.get(tup)
-            if m is None:
-                if table is None:
-                    table = _completion_table(self._edge_sets)
-                bits = 0
-                for v in tup:
-                    bits |= 1 << v
-                m = table.get(bits, 0) | bits if bits.bit_count() == width else full
-                cache[tup] = m
-            if m not in reps:
-                reps[m] = tup
-        return reps
-
     def check_extension_property(self, t: int, span: Optional[int] = None) -> ExtensionCheck:
         """Check that every choice of t (k-1)-tuples has a common witness;
         with span, only choices whose tuples hold at most span distinct
@@ -191,30 +167,39 @@ class Hypergraph:
         one inclusion-maximal complement per distinct mask (a cover may
         trade any other for one containing it); with span, one complement
         per (k-1)-set, taken only while the chosen sets stay within span
-        vertices.  Past COVER_SEARCH_NODES examined complements, offered or
-        filtered out, it stops with exhaustive=False."""
+        vertices.  Masks come from the completion table and leave the
+        witness_mask memo alone.  Past COVER_SEARCH_NODES examined
+        complements, offered or filtered out, it stops with
+        exhaustive=False."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
-        reps = self._distinct_masks()
         full = (1 << self.size) - 1
         width = self.arity - 1
-        if span is None:
-            comps = sorted((full ^ m for m in reps if m != full), key=int.bit_count, reverse=True)
-        else:
-            cache = self._mask_cache
-            tuples = [tup for tup in combinations(range(self.size), width) if cache[tup] != full]
-            tuples.sort(key=lambda tup: cache[tup].bit_count())
-            comps = [full ^ cache[tup] for tup in tuples]
+        # a tuple with a repeat has the full mask and its permutations the
+        # sorted tuple's, so the (k-1)-sets in order give every mask, each
+        # first at the tuple that gives it first in product order
+        rows: list[tuple[int, tuple[int, ...]]] = []
+        seen: set[int] = set()
+        for tup in combinations(range(self.size), width):
+            m = self._mask(tup)
+            if m != full and (span is not None or m not in seen):
+                seen.add(m)
+                rows.append((m, tup))
+        rows.sort(key=lambda row: row[0].bit_count())  # stable: ties keep that order
+        comps = [full ^ m for m, _ in rows]
+        tuples = [tup for _, tup in rows]
         # no j complements cover more than reach[j] vertices
         reach = list(accumulate(map(int.bit_count, comps), initial=0))
         if reach[min(t, len(comps))] < self.size:
             return ExtensionCheck(True, True, proven=t)
         if span is None:
             sets: list[int] = []
-            for c in comps:
+            kept = []
+            for c, tup in zip(comps, tuples):
                 if all(c & s != c for s in sets):  # supersets come first
                     sets.append(c)
-            tuples = [reps[full ^ c] for c in sets]
+                    kept.append(tup)
+            tuples = kept
             supports = [0] * len(sets)
         else:
             sets = comps
@@ -255,14 +240,16 @@ class Hypergraph:
                 proven = limit
         except _NodeBoundReached:
             return ExtensionCheck(True, False, proven=proven)
+        finally:
+            del cover  # the closure holds itself: free its lists now, not at the next GC
         return ExtensionCheck(True, True, proven=t)
 
 
-def _completion_table(edge_sets: Iterable[frozenset[int]]) -> dict[int, int]:
+def _completion_table(edges: Iterable[frozenset[int]]) -> dict[int, int]:
     """Map the vertex-set bits of every (k-1)-subset of an edge to the bits of
     the vertices s completing it to an edge, in one pass over the edges."""
     table: dict[int, int] = {}
-    for e in edge_sets:
+    for e in edges:
         bits = 0
         for v in e:
             bits |= 1 << v

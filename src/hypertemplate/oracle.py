@@ -2,17 +2,18 @@
 
 These deliberately avoid the level-wise shortcut: the type oracle walks
 every whole witness stem, the extension oracle walks every choice of
-tuples, the signature oracle walks every predicate, and the transfer
-oracle walks every extension of every parameter.  Desk scale only.
+tuples, the edge-partner oracle walks every tuple of stems, the signature
+oracle walks every predicate, and the transfer oracle walks every
+extension of every parameter.  Desk scale only.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from random import Random
-from typing import Optional
+from typing import Optional, Sequence
 
-from .errors import InputError, PreconditionError
+from .errors import BudgetExhausted, InputError, PreconditionError
 from .hypergraph import Hypergraph
 from .signature import ParamType, SignatureFunction, equality_patterns, predicate_enumeration
 from .template import Template
@@ -85,6 +86,32 @@ def naive_extension_witness(h: Hypergraph, tuples) -> Optional[int]:
         if all(h.is_edge((s,) + tuple(tup)) for tup in tuples):
             return s
     return None
+
+
+def naive_edge_partners(
+    t: Template, rho: Sequence[int], depth: int, budget: int = 1_000_000
+) -> int:
+    """Walk every (k-1)-tuple of stems of the given length and test it with
+    rho at every level with is_edge, where enumerate_edge_partners takes a
+    product of per-level counts.  Raises BudgetExhausted carrying the
+    partial count when the enumeration space exceeds the budget."""
+    rho = require_in_tree(t, rho, "rho")
+    if depth < 0 or depth > len(rho):
+        raise InputError(f"depth must lie in 0..{len(rho)}")
+    stems = list(product(*(range(t.level_size(n)) for n in range(depth))))
+    total = len(stems) ** (t.arity - 1)
+    count = 0
+    for examined, partner in enumerate(product(stems, repeat=t.arity - 1), 1):
+        if examined > budget:
+            raise BudgetExhausted(
+                f"enumeration space {total} exceeds budget {budget}", partial=count
+            )
+        if all(
+            t.level_hypergraph(n).is_edge((rho[n],) + tuple(s[n] for s in partner))
+            for n in range(depth)
+        ):
+            count += 1
+    return count
 
 
 def naive_f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:

@@ -17,22 +17,18 @@ from typing import Optional, Sequence
 from .errors import GenerationError, InputError
 from .hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 
-TAIL_KINDS = ("complete_growing", "repeat_last_complete")
-
 
 @dataclass(frozen=True)
 class TailPolicy:
     """Levels beyond the prefix: complete hypergraphs whose size grows by
-    ``growth`` per level.  ``repeat_last_complete`` is the growth-1 alias."""
+    ``growth`` per level."""
 
     kind: str = "complete_growing"
     growth: int = 1
 
     def __post_init__(self):
-        if self.kind not in TAIL_KINDS:
+        if self.kind != "complete_growing":
             raise InputError(f"unknown tail kind {self.kind!r}")
-        if self.kind == "repeat_last_complete" and self.growth != 1:
-            raise InputError("repeat_last_complete fixes growth = 1")
         if self.growth < 1:
             raise InputError(f"tail growth must be >= 1, got {self.growth}")
 

@@ -7,15 +7,10 @@ least extension witness, so every leaf-valued result is deterministic.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Optional, Sequence
+from math import comb, factorial
+from typing import Sequence
 
-from .errors import (
-    BudgetExhausted,
-    InputError,
-    InternalConsistencyError,
-    PreconditionError,
-)
+from .errors import InputError, InternalConsistencyError, PreconditionError
 from .template import Template
 
 Stem = tuple[int, ...]
@@ -112,36 +107,22 @@ def extend_canonically(t: Template, stem: Sequence[int], target_len: int) -> Ste
     return stem + (0,) * (target_len - len(stem))
 
 
-def enumerate_edge_partners(
-    t: Template,
-    rho: Sequence[int],
-    depth: int,
-    budget: int = 1_000_000,
-) -> int:
-    """Exact count, by exhaustive enumeration, of (k-1)-tuples of stems of
-    the given length that form an edge with rho at every level.
+def enumerate_edge_partners(t: Template, rho: Sequence[int], depth: int) -> int:
+    """Exact count of (k-1)-tuples of stems of the given length that form an
+    edge with rho at every level.
 
     The finite-depth surrogate of "each leaf lies in continuum many edges".
-    Raises BudgetExhausted carrying the partial count when the enumeration
-    space exceeds the budget."""
+    Levels are independent, so this is a product over the levels n below
+    depth: of the H_n^(k-1) tuples at level n, only the (k-1)! orderings of
+    each (k-1)-set avoiding rho[n] that forms no uniform edge with it fail.
+    oracle.naive_edge_partners enumerates the tuples instead."""
     rho = require_in_tree(t, rho, "rho")
     if depth < 0 or depth > len(rho):
         raise InputError(f"depth must lie in 0..{len(rho)}")
-    stems = [tuple(s) for s in product(*(range(t.level_size(n)) for n in range(depth)))]
-    total = len(stems) ** (t.arity - 1)
-    count = 0
-    examined = 0
-    for partner in product(stems, repeat=t.arity - 1):
-        examined += 1
-        if examined > budget:
-            raise BudgetExhausted(
-                f"enumeration space {total} exceeds budget {budget}", partial=count
-            )
-        ok = True
-        for n in range(depth):
-            if not t.level_hypergraph(n).is_edge((rho[n],) + tuple(s[n] for s in partner)):
-                ok = False
-                break
-        if ok:
-            count += 1
+    width = t.arity - 1
+    count = 1
+    for n in range(depth):
+        h = t.level_hypergraph(n)
+        degree = sum(1 for e in h.uniform_edges if rho[n] in e)
+        count *= h.size**width - factorial(width) * (comb(h.size - 1, width) - degree)
     return count

@@ -7,7 +7,7 @@ under test's own bookkeeping.
 
 import itertools
 import sys
-from math import inf
+from math import comb, inf
 from pathlib import Path
 from random import Random
 
@@ -49,6 +49,7 @@ from hypertemplate.typecheck import (
     m_star,
     transfer_check,
 )
+from test_transfer_closed_form import smallest_family
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -188,6 +189,7 @@ def test_criterion_3_qe_transfer():
         bad += len(rep.counterexamples)
 
     detected = 0
+    breaking = 0
     corrupted_runs = 25
     for seed in range(corrupted_runs):
         rng = Random(3000 + seed)
@@ -198,6 +200,11 @@ def test_criterion_3_qe_transfer():
         ms = m_star(t, m)
         broken = corrupt_level(t, ms, keep_fraction=0.0, seed=seed)
         rep = transfer_check(broken, m, trials=400, seed=seed)
+        # the decision must agree with a walk over every small family at m*
+        span = 2 * (t.arity - 1)
+        breaks = smallest_family(broken.level_hypergraph(ms), min(m, comb(span, t.arity - 1)), span) is not None
+        assert rep.exhaustive and rep.holds == (not breaks), seed
+        breaking += breaks
         if rep.counterexamples:
             detected += 1
     power = detected / corrupted_runs
@@ -205,7 +212,8 @@ def test_criterion_3_qe_transfer():
         "criterion 3",
         bad == 0 and power >= 0.8,
         f"transfer_check: {bad} counterexamples on 50 valid templates x 1000"
-        f" trials; corruption detected in {power:.0%} of {corrupted_runs} runs",
+        f" trials; corruption detected in {power:.0%} of {corrupted_runs} runs, each"
+        f" verdict matching the family walk ({breaking} break transfer)",
     )
 
 

@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import itertools
 from random import Random
 
@@ -10,6 +12,10 @@ from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 from hypertemplate.oracle import naive_extension_property, naive_extension_witness
 from hypertemplate.template import max_extension_arity
+
+
+EXTENSION_DIGEST = "5ebf7f27100c75a6b7d4a5e991fef2e7c50caa35c39e5dac5e252b9aee5fb6b9"
+EXTENSION_FAILED = 803
 
 
 def small_random(seed, arity=3, size=4, p=0.5):
@@ -70,22 +76,66 @@ class TestWitnessMask:
     )
     @settings(max_examples=80, deadline=None)
     def test_bulk_masks_match_edge_scans(self, arity, size, p, seed, warm):
-        # the one-pass bulk build must agree with direct is_edge scans, from
-        # a cold cache (warm = 0) or one partly filled by witness_mask
-        h = random_hypergraph(arity, size, p, Random(seed))
+        # masks read off the completion table must agree with direct is_edge
+        # scans in product order: from a cold cache, from one partly filled
+        # by witness_mask, and after extension checks, which leave the memo
+        # alone
         tuples = list(itertools.product(range(size), repeat=arity - 1))
+        ref = random_hypergraph(arity, size, p, Random(seed))
+        scans = [sum(1 << s for s in range(size) if ref.is_edge((s,) + tup)) for tup in tuples]
+        cold, warmed, checked = (random_hypergraph(arity, size, p, Random(seed)) for _ in range(3))
         rng = Random(seed + 1)
         for tup in tuples:
             if rng.random() < warm:
-                h.witness_mask(tup)
-        reps = h._distinct_masks()
-        assert set(h._mask_cache) == set(tuples)
-        first = {}
-        for tup in tuples:
-            mask = sum(1 << s for s in range(size) if h.is_edge((s,) + tup))
-            assert h._mask_cache[tup] == mask
-            first.setdefault(mask, tup)
-        assert reps == first
+                warmed.witness_mask(tup)
+                checked.witness_mask(tup)
+        memo = dict(checked._mask_cache)
+        for t in range(1, 4):
+            checked.check_extension_property(t)
+            checked.check_extension_property(t, 2 * (arity - 1))
+        assert checked._mask_cache == memo
+        for h in (cold, warmed, checked):
+            assert [h.witness_mask(tup) for tup in tuples] == scans
+
+
+def extension_digest() -> tuple[str, int]:
+    """SHA-256 over (holds, exhaustive, counterexample, proven) of checks
+    at t = 1..5, with and without span, on seeded random levels, some with
+    a partly filled mask memo, and how many of the checks failed."""
+    digest = hashlib.sha256()
+    failed = 0
+    for i in range(300):
+        rng = Random(5000 + i)
+        k = rng.randint(2, 4)
+        h = random_hypergraph(k, rng.randint(1, {2: 12, 3: 8, 4: 6}[k]), rng.uniform(0.2, 1.0), rng)
+        if i % 2:
+            for tup in itertools.product(range(h.size), repeat=k - 1):
+                if rng.random() < 0.3:
+                    h.witness_mask(tup)
+        for t in range(1, 6):
+            for span in (None, 2 * (k - 1)):
+                chk = h.check_extension_property(t, span)
+                failed += not chk.holds
+                row = (i, t, span, chk.holds, chk.exhaustive, chk.counterexample, chk.proven)
+                digest.update(f"{row}\n".encode())
+    return digest.hexdigest(), failed
+
+
+def test_extension_checks_pinned():
+    # fixed at an earlier revision: a changed verdict or counterexample must be deliberate
+    assert extension_digest() == (EXTENSION_DIGEST, EXTENSION_FAILED)
+
+
+def test_check_leaves_no_reference_cycle():
+    # the cover search's recursive closure must not outlive the check
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(20):
+            random_hypergraph(3, 8, 0.8, Random(i)).check_extension_property(3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestExtensionWitness:

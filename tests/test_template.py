@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from hypertemplate import hypergraph
+from hypertemplate.cli import run
 from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
 from hypertemplate.template import (
@@ -14,6 +15,7 @@ from hypertemplate.template import (
     random_template,
     validate,
 )
+from hypertemplate.serialization import dump_template
 
 
 def is_complete_level(h):
@@ -72,11 +74,15 @@ class TestConstruction:
         with pytest.raises(InputError):
             Template(3, [])
 
-    def test_bad_tail_kind(self):
-        with pytest.raises(InputError):
-            TailPolicy("linear", 1)
-        with pytest.raises(InputError):
-            TailPolicy("repeat_last_complete", 2)
+    def test_bad_tail_kind(self, tmp_path, capsys):
+        for kind in ("linear", "repeat_last_complete"):
+            with pytest.raises(InputError, match="unknown tail kind"):
+                TailPolicy(kind, 1)
+        path = tmp_path / "alias.tpl"
+        text = dump_template(complete_template(3, 2))
+        path.write_text(text.replace("tail complete_growing 1", "tail repeat_last_complete 1"))
+        assert run(["validate-template", str(path)]) == 2
+        assert capsys.readouterr().err == "input error: unknown tail kind 'repeat_last_complete'\n"
 
     def test_pickle_roundtrip(self):
         import pickle

@@ -1,9 +1,13 @@
+from math import prod
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertemplate.errors import BudgetExhausted, InputError, PreconditionError
-from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
+from hypertemplate.hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
+from hypertemplate.oracle import naive_edge_partners
 from hypertemplate.template import (
     TailPolicy,
     Template,
@@ -164,8 +168,26 @@ class TestEnumerateEdgePartners:
     def test_budget_exhausted_carries_partial(self):
         t = complete_template(3, 3)
         with pytest.raises(BudgetExhausted) as ei:
-            enumerate_edge_partners(t, (0, 0, 0), 3, budget=5)
+            naive_edge_partners(t, (0, 0, 0), 3, budget=5)
         assert ei.value.partial == 5
+
+    @given(
+        st.integers(2, 4),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.floats(0.1, 1.0),
+        st.integers(0, 2**31),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_closed_form_matches_oracle(self, k, sizes, p, seed, tail):
+        levels = [(random_hypergraph(k, n, p, Random(seed + i)), 1) for i, n in enumerate(sizes)]
+        t = Template(k, levels, TailPolicy("complete_growing", 1))
+        # depths reach past the stored prefix into complete tail levels
+        rng = Random(seed)
+        rho = tuple(rng.randrange(t.level_size(n)) for n in range(len(sizes) + tail))
+        for depth in range(len(rho) + 1):
+            if prod(t.level_size(n) for n in range(depth)) ** (k - 1) <= 5000:
+                assert enumerate_edge_partners(t, rho, depth) == naive_edge_partners(t, rho, depth)
 
     def test_depth_beyond_stem_rejected(self):
         t = complete_template(2, 2)

@@ -17,7 +17,7 @@ from math import isinf
 from pathlib import Path
 
 from . import serialization as ser
-from .errors import BudgetExhausted, GenerationError, InputError
+from .errors import GenerationError, InputError
 from .oracle import brute_force_positive_type
 from .satsim import Distribution, build_distribution, verify_realization
 from .signature import (
@@ -447,9 +447,6 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExhausted as e:
-        sys.stderr.write(f"budget exhausted: {e}\n")
-        return INDETERMINATE
     except GenerationError as e:
         sys.stderr.write(f"generation failed: {e}\n")
         return NEGATIVE

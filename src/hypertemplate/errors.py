@@ -1,8 +1,8 @@
 """Exception vocabulary shared by all modules.
 
 The CLI maps these onto exit codes: GenerationError -> 1, InputError -> 2,
-BudgetExhausted -> 3, and InternalConsistencyError, like any exception it
-does not expect, -> 4 with one "internal error:" line on stderr.
+and InternalConsistencyError, like any exception it does not expect, -> 4
+with one "internal error:" line on stderr.  No verb raises BudgetExhausted.
 Definite negative results (inconsistent, counterexample, infeasible) are
 ordinary return values, not exceptions.
 """

@@ -101,14 +101,20 @@ class Hypergraph:
         """True iff the k-tuple is an edge: fewer than k distinct entries,
         or its underlying set lies in the uniform part.  Permutation
         invariant by construction."""
-        if len(vertices) != self.arity:
-            raise InputError(f"expected a {self.arity}-tuple, got length {len(vertices)}")
-        distinct = set(vertices)
-        if any(v < 0 or v >= self.size for v in distinct):
+        self._check(vertices, self.arity)
+        return self._has(vertices)
+
+    def _check(self, vertices: Sequence[int], width: int) -> None:
+        """Raise InputError unless vertices is a width-tuple of this level's vertices."""
+        if len(vertices) != width:
+            raise InputError(f"expected a {width}-tuple, got length {len(vertices)}")
+        if any(v < 0 or v >= self.size for v in vertices):
             raise InputError(f"vertex out of range in {tuple(vertices)}")
-        if len(distinct) < self.arity:
-            return True
-        return frozenset(distinct) in self.uniform_edges
+
+    def _has(self, vertices: Sequence[int]) -> bool:
+        """is_edge for a k-tuple the caller has checked."""
+        distinct = frozenset(vertices)
+        return len(distinct) < self.arity or distinct in self.uniform_edges
 
     def witness_mask(self, partial: tuple[int, ...]) -> int:
         """Bitmask of all s with is_edge((s,) + partial).
@@ -116,13 +122,9 @@ class Hypergraph:
         Read off the completion table and memoized per tuple; the workhorse
         behind witness search."""
         mask = self._mask_cache.get(partial)
-        if mask is not None:
-            return mask
-        if len(partial) != self.arity - 1:
-            raise InputError(f"expected a {self.arity - 1}-tuple, got length {len(partial)}")
-        if any(v < 0 or v >= self.size for v in partial):
-            raise InputError(f"vertex out of range in {partial}")
-        mask = self._mask_cache[partial] = self._mask(partial)
+        if mask is None:
+            self._check(partial, self.arity - 1)
+            mask = self._mask_cache[partial] = self._mask(partial)
         return mask
 
     def _mask(self, partial: tuple[int, ...]) -> int:
@@ -147,9 +149,20 @@ class Hypergraph:
         """Least s forming an edge with every given (k-1)-tuple, or None."""
         if not tuples:
             raise InputError("extension_witness needs at least one tuple")
+        tuples = [tuple(tup) for tup in tuples]
+        for tup in tuples:
+            self._check(tup, self.arity - 1)
+        return self._witness(tuples)
+
+    def _witness(self, tuples: Iterable[tuple[int, ...]]) -> Optional[int]:
+        """extension_witness for checked (k-1)-tuples, through the witness_mask memo."""
+        cache = self._mask_cache
         mask = (1 << self.size) - 1
         for tup in tuples:
-            mask &= self.witness_mask(tuple(tup))
+            m = cache.get(tup)
+            if m is None:
+                m = cache[tup] = self._mask(tup)
+            mask &= m
             if not mask:
                 return None
         return (mask & -mask).bit_length() - 1

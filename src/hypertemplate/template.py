@@ -43,9 +43,10 @@ class Template:
 
     Construction checks only representation invariants (shared arity,
     1 <= f(n) <= H_n); the extension property is verified by validate().
+    Stored sizes and hypergraphs are also kept as tuples for unchecked lookups.
     """
 
-    __slots__ = ("arity", "levels", "tail")
+    __slots__ = ("arity", "levels", "tail", "_sizes", "_graphs", "_stab_cache")
 
     def __init__(
         self,
@@ -65,6 +66,9 @@ class Template:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "levels", tuple(lv))
         object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "_sizes", tuple(h.size for h, _f in lv))
+        object.__setattr__(self, "_graphs", tuple(h for h, _f in lv))
+        object.__setattr__(self, "_stab_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Template is immutable")
@@ -95,10 +99,10 @@ class Template:
     def level_size(self, n: int) -> int:
         if n < 0:
             raise InputError(f"level index must be >= 0, got {n}")
-        if n < len(self.levels):
-            return self.levels[n][0].size
-        last = len(self.levels) - 1
-        return self.levels[last][0].size + self.tail.growth * (n - last)
+        sizes = self._sizes
+        if n < len(sizes):
+            return sizes[n]
+        return sizes[-1] + self.tail.growth * (n - len(sizes) + 1)
 
     def f_value(self, n: int) -> int:
         """Declared extension arity at level n; tail levels use f = H_n."""
@@ -117,6 +121,13 @@ class Template:
     def level_hypergraph(self, n: int) -> Hypergraph:
         return self.level(n)[0]
 
+    def _level_graphs(self, depth: int) -> tuple[Hypergraph, ...]:
+        """Hypergraphs of levels 0..depth-1; tail levels are complete."""
+        graphs = self._graphs
+        if depth <= len(graphs):
+            return graphs[:depth]
+        return graphs + tuple(self.level_hypergraph(n) for n in range(len(graphs), depth))
+
     # -- analysis ----------------------------------------------------------
 
     def stabilization_level(self, count: int) -> int:
@@ -126,6 +137,9 @@ class Template:
         unbounded.  Tail levels are handled analytically."""
         if count < 1:
             raise InputError(f"count must be >= 1, got {count}")
+        n = self._stab_cache.get(count)
+        if n is not None:
+            return n
         p = len(self.levels)
         # least tail level whose size reaches count (tail f is its size)
         n = p
@@ -134,6 +148,7 @@ class Template:
             n = p + -(-deficit // self.tail.growth)
         while n > 0 and self.f_value(n - 1) >= count:
             n -= 1
+        self._stab_cache[count] = n
         return n
 
     def is_complete(self) -> bool:

@@ -14,6 +14,7 @@ from random import Random
 from typing import Optional, Sequence
 
 from .errors import InputError
+from .hypergraph import Hypergraph
 from .template import Template
 from .tree import Stem, in_tree
 from .typecheck import QfFormulaSpec, decide_qf_formula
@@ -58,24 +59,33 @@ class Violation:
 
 def check_model(t: Template, model: FiniteModel) -> tuple[Violation, ...]:
     """All violations: malformed leaves, non-k-subsets, and edges whose
-    endpoint leaves fail some level.  Empty means the model is valid."""
+    endpoint leaves fail some level.  Empty means the model is valid.  An
+    edge touching a malformed leaf is not tested: that leaf's violation is
+    reported instead."""
     out = []
     if model.arity != t.arity:
         out.append(Violation("edge_shape", f"model arity {model.arity} != template arity {t.arity}"))
         return tuple(out)
+    malformed = set()
     for i, leaf in enumerate(model.leaves):
         if len(leaf) != model.level:
             out.append(Violation("leaf", f"element {i} leaf has length {len(leaf)}, expected {model.level}"))
+            malformed.add(i)
         elif not in_tree(t, leaf):
             out.append(Violation("leaf", f"element {i} leaf {leaf} leaves the tree"))
+            malformed.add(i)
+    graphs = None
     for e in sorted(model.edges, key=sorted):
         if len(e) != t.arity or any(i < 0 or i >= len(model.leaves) for i in e):
             out.append(Violation("edge_shape", f"edge {sorted(e)} is not a {t.arity}-subset of elements"))
             continue
+        if not malformed.isdisjoint(e):
+            continue
+        if graphs is None:
+            graphs = t._level_graphs(model.level)
         idx = sorted(e)
-        stems = [model.leaves[i] for i in idx]
-        for n in range(model.level):
-            if not t.level_hypergraph(n).is_edge(tuple(s[n] for s in stems)):
+        for n, (h, verts) in enumerate(zip(graphs, zip(*(model.leaves[i] for i in idx)))):
+            if not h._has(verts):
                 out.append(
                     Violation(
                         "forbidden_edge",
@@ -156,15 +166,18 @@ def build_random_model(
     if not (0.0 <= edge_prob <= 1.0):
         raise InputError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     rng = Random(seed)
-    leaves = [s for s in all_level_stems(t, m) for _ in range(count_per_leaf)]
+    stems = all_level_stems(t, m)
+    leaves = [s for s in stems for _ in range(count_per_leaf)]
+    graphs = t._level_graphs(m)
+    allowed: dict[tuple[int, ...], bool] = {}  # per tuple of stem indices
     edges: set[frozenset[int]] = set()
     for sub in combinations(range(len(leaves)), t.arity):
-        stems = [leaves[i] for i in sub]
-        if all(
-            t.level_hypergraph(n).is_edge(tuple(s[n] for s in stems)) for n in range(m)
-        ):
-            if rng.random() < edge_prob:
-                edges.add(frozenset(sub))
+        key = tuple(i // count_per_leaf for i in sub)
+        ok = allowed.get(key)
+        if ok is None:
+            ok = allowed[key] = all(map(Hypergraph._has, graphs, zip(*map(stems.__getitem__, key))))
+        if ok and rng.random() < edge_prob:
+            edges.add(frozenset(sub))
     return FiniteModel(t.arity, m, leaves, edges)
 
 

@@ -3,14 +3,19 @@
 A leaf stem is a finite tuple of vertex indices, one per level; full leaves
 are never materialized.  Completion extends a stem level by level with the
 least extension witness, so every leaf-valued result is deterministic.
+Public functions check their stems once, on entry; past that check they
+look edges up through the template's level tuples and the hypergraphs'
+unchecked helpers, which trust their callers.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import lt
 from typing import Sequence
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
+from .hypergraph import Hypergraph
 from .template import Template
 
 Stem = tuple[int, ...]
@@ -18,7 +23,11 @@ Stem = tuple[int, ...]
 
 def in_tree(t: Template, stem: Sequence[int]) -> bool:
     """True iff every coordinate is within its level's vertex range."""
-    return all(0 <= v < t.level_size(n) for n, v in enumerate(stem))
+    sizes = t._sizes
+    if stem and min(stem) < 0 or not all(map(lt, stem, sizes)):
+        return False
+    p = len(sizes)
+    return len(stem) <= p or all(v < t.level_size(n) for n, v in enumerate(stem[p:], p))
 
 
 def require_in_tree(t: Template, stem: Sequence[int], what: str = "stem") -> Stem:
@@ -39,10 +48,7 @@ def einfty_prefix(t: Template, stems: Sequence[Sequence[int]]) -> bool:
         raise InputError("stems must share a common length")
     for s in stems:
         require_in_tree(t, s)
-    for n in range(length):
-        if not t.level_hypergraph(n).is_edge(tuple(s[n] for s in stems)):
-            return False
-    return True
+    return all(map(Hypergraph._has, t._level_graphs(length), zip(*stems)))
 
 
 def complete_to_leaf(
@@ -77,20 +83,18 @@ def complete_to_leaf(
             f"lgn(nu) = {len(nu)} must exceed the stabilization level "
             f"{t.stabilization_level(m)} for {m} constraints"
         )
-    for n in range(len(nu)):
-        h = t.level_hypergraph(n)
-        for i, stems in enumerate(rows):
-            if not h.is_edge((nu[n],) + tuple(s[n] for s in stems)):
-                raise PreconditionError(
-                    f"hypothesis fails at level {n} for constraint {i}"
-                )
+    if not rows:
+        return nu + (0,) * (target_len - len(nu))
     out = list(nu)
-    for n in range(len(nu), target_len):
-        if not rows:
-            out.append(0)
+    # the constraint tuples of each level, in constraint order
+    levels = zip(t._level_graphs(target_len), zip(*(zip(*stems) for stems in rows)))
+    for n, (h, tuples) in enumerate(levels):
+        if n < len(nu):
+            for i, tup in enumerate(tuples):
+                if not h._has((nu[n],) + tup):
+                    raise PreconditionError(f"hypothesis fails at level {n} for constraint {i}")
             continue
-        h = t.level_hypergraph(n)
-        w = h.extension_witness([tuple(s[n] for s in stems) for stems in rows])
+        w = h._witness(tuples)
         if w is None:
             raise InternalConsistencyError(
                 f"no witness at level {n}: the template's declared arities do not hold"

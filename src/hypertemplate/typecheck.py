@@ -8,7 +8,9 @@ into a per-level scan instead of a search over whole stems, and the
 brute-force stem enumeration in oracle.py exists precisely to confirm the
 two routes agree.  Level transfer decomposes the same way: it depends on
 the stabilization level alone, where one bounded smallest-cover search
-decides it (oracle.py samples formulas instead).
+decides it (oracle.py samples formulas instead).  Each procedure checks its
+input once, on entry, and then scans the levels with the hypergraphs'
+unchecked helpers, which trust their callers.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from math import comb
 from typing import Optional
 
 from .errors import InputError, PreconditionError
+from .hypergraph import Hypergraph
 from .template import Template
-from .tree import Stem, extend_canonically, require_in_tree
+from .tree import Stem, require_in_tree
 
 
 def m_star(t: Template, count: int) -> int:
@@ -94,23 +97,18 @@ def decide_positive_type(
         x = require_in_tree(t, spec.x_stem, "x_stem")
         if len(x) > check_depth:
             raise InputError("x_stem longer than check_depth")
-    ext = [
-        [extend_canonically(t, s, check_depth) for s in stems] for stems in rows
-    ]
+    if not rows:
+        return TypeDecision(True, x + (0,) * (check_depth - len(x)))
+    # stems padded canonically with least vertices, then the tuples of each level
+    levels = zip(*(zip(*(s + (0,) * (check_depth - L) for s in stems)) for stems in rows))
     out = []
-    for n in range(check_depth):
-        h = t.level_hypergraph(n)
-        tuples = [tuple(s[n] for s in stems) for stems in ext]
+    for n, (h, tuples) in enumerate(zip(t._level_graphs(check_depth), levels)):
         if n < len(x):
-            s_fixed = x[n]
-            if all(h.is_edge((s_fixed,) + tup) for tup in tuples):
-                out.append(s_fixed)
-            else:
+            if not all(h._has((x[n],) + tup) for tup in tuples):
                 return TypeDecision(False, None, failing_level=n)
-        elif not tuples:
-            out.append(0)
+            out.append(x[n])
         else:
-            w = h.extension_witness(tuples)
+            w = h._witness(tuples)
             if w is None:
                 return TypeDecision(False, None, failing_level=n)
             out.append(w)
@@ -190,10 +188,8 @@ def decide_qf_formula(
             return False
     # (iii) demanded edges survive every level below m
     for tup in spec.positive:
-        for n in range(m):
-            h = t.level_hypergraph(n)
-            if not h.is_edge((x[n],) + tuple(leaves[i][n] for i in tup)):
-                return False
+        if not all(map(Hypergraph._has, t._level_graphs(m), zip(x, *(leaves[i] for i in tup)))):
+            return False
     if for_limit_theory and spec.positive:
         params = tuple(
             tuple(leaves[i] for i in tup) for tup in sorted(spec.positive)

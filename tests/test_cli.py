@@ -126,6 +126,16 @@ class TestExitCodes:
         assert run(["qe-transfer", random_file]) == 4
         assert capsys.readouterr() == ("", line)
 
+    def test_check_model_bad_leaf_in_edge_exit_1(self, tmp_path, capsys):
+        # a leaf outside the tree is a violation of the model, not an input error
+        tp, mp = tmp_path / "t.tpl", tmp_path / "m.mdl"
+        tp.write_text(ser.dump_template(complete_template(2, 2)))
+        mp.write_text(ser.dump_model(FiniteModel(2, 2, [(0, 0), (0, 7)], {frozenset({0, 1})})))
+        assert run(["check-model", str(tp), str(mp)]) == 1
+        out = capsys.readouterr().out
+        assert "violation leaf: element 1 leaf (0, 7) leaves the tree\n" in out
+        assert out.endswith("result invalid\n")
+
     def test_qe_transfer_workers_below_one_exit_2(self, random_file, capsys):
         assert run(["qe-transfer", random_file, "--m", "2", "--workers", "0"]) == 2
         assert capsys.readouterr().err == "input error: workers must be >= 1, got 0\n"

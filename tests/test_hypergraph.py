@@ -163,6 +163,13 @@ class TestExtensionWitness:
         with pytest.raises(InputError):
             h.extension_witness([])
 
+    @pytest.mark.parametrize("bad", [(9, 0), (0, -1), (0,), (0, 1, 2)])
+    def test_every_tuple_checked(self, bad):
+        # checked before the search, so also after tuples that leave no witness
+        h = Hypergraph(3, 4)
+        with pytest.raises(InputError):
+            h.extension_witness([(0, 1), (2, 3), bad])
+
     @given(st.integers(0, 2**31), st.integers(0, 2**31))
     @settings(max_examples=60, deadline=None)
     def test_oracle_equality(self, seed, tup_seed):

@@ -8,6 +8,7 @@ from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
 from hypertemplate.template import TailPolicy, Template, complete_template, random_template
 from hypertemplate.theory import (
     FiniteModel,
+    Violation,
     all_level_stems,
     amalgamate,
     build_random_model,
@@ -99,6 +100,23 @@ class TestCheckModel:
         m = FiniteModel(3, 2, [(0, 3), (1, 4)], {frozenset({0, 1})})
         vs = check_model(t, m)
         assert vs and vs[0].kind == "edge_shape"
+
+    @pytest.mark.parametrize(
+        "leaf, detail",
+        [
+            ((0, 7), "element 1 leaf (0, 7) leaves the tree"),
+            ((0,), "element 1 leaf has length 1, expected 2"),
+        ],
+    )
+    def test_malformed_leaf_in_edge_reported(self, leaf, detail):
+        # the edge on the malformed leaf is not evaluated; the leaf is the report
+        m = FiniteModel(2, 2, [(0, 0), leaf], {frozenset({0, 1})})
+        assert check_model(complete_template(2, 2), m) == (Violation("leaf", detail),)
+
+    def test_edges_off_malformed_leaves_still_checked(self):
+        t = two_edge_template()
+        m = FiniteModel(3, 2, [(0, 3), (1, 4), (2, 0), (0, 9)], {frozenset({0, 1, 2}), frozenset({0, 1, 3})})
+        assert [v.kind for v in check_model(t, m)] == ["leaf", "forbidden_edge"]
 
 
 class TestAmalgamate:

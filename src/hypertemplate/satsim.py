@@ -115,15 +115,13 @@ def build_distribution(
     sc: Scenario,
     g_table: Sequence[Capacity],
     seed: int,
-    strict: bool = False,
 ) -> Union[Distribution, Infeasible]:
     """Greedy bounded-multiplicity assignment.
 
     The per-index bound s[t] is the pointwise minimum capacity over
-    instances, floored at 1 (with strict=True, minimum - 1, still floored:
-    the configurable reading of "strictly below").  Instances are placed in
-    seeded order on the least-loaded eligible index with room, ties to the
-    lowest index; every instance must land somewhere, else Infeasible."""
+    instances, floored at 1.  Instances are placed in seeded order on the
+    least-loaded eligible index with room, ties to the lowest index; every
+    instance must land somewhere, else Infeasible."""
     validate_scenario(sc)
     N = len(sc.depths)
     caps = [
@@ -133,8 +131,6 @@ def build_distribution(
     bounds: list[Capacity] = []
     for ti in range(N):
         lo = min((caps[a][ti] for a in range(len(sc.instances))), default=inf)
-        if strict and not isinf(lo):
-            lo -= 1
         bounds.append(lo if isinf(lo) else max(1, lo))
     rng = Random(seed)
     order = list(range(len(sc.instances)))

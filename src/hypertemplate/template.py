@@ -17,6 +17,9 @@ from typing import Optional, Sequence
 from .errors import GenerationError, InputError
 from .hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 
+# samples random_template draws per level before it degrades the target arity
+RETRY_BUDGET = 20
+
 
 @dataclass(frozen=True)
 class TailPolicy:
@@ -232,12 +235,11 @@ def random_template(
     edge_prob: float,
     target_f: Sequence[int],
     seed: int,
-    retry_budget: int = 20,
 ) -> Template:
     """Sample each level's uniform edges independently with edge_prob, then
     verify the extension property at target_f(n); resample unless it is
-    proven and, when retries run out, degrade f to the largest arity that is
-    proven to hold.
+    proven and, after RETRY_BUDGET samples, degrade f to the largest arity
+    that is proven to hold.
 
     Deterministic for a given seed.  Any smaller f satisfying the axioms
     still yields a template, which makes degradation sound."""
@@ -253,7 +255,7 @@ def random_template(
         if not (1 <= tf <= size):
             raise InputError(f"level {n}: target f {tf} outside 1..{size}")
         h = None
-        for _ in range(retry_budget):
+        for _ in range(RETRY_BUDGET):
             cand = random_hypergraph(arity, size, edge_prob, rng)
             if cand.check_extension_property(tf).proven == tf:
                 h, f = cand, tf

@@ -17,7 +17,6 @@ from .errors import InputError
 from .hypergraph import Hypergraph
 from .template import Template
 from .tree import Stem, in_tree
-from .typecheck import QfFormulaSpec, decide_qf_formula
 
 
 @dataclass
@@ -75,15 +74,14 @@ def check_model(t: Template, model: FiniteModel) -> tuple[Violation, ...]:
             out.append(Violation("leaf", f"element {i} leaf {leaf} leaves the tree"))
             malformed.add(i)
     graphs = None
-    for e in sorted(model.edges, key=sorted):
-        if len(e) != t.arity or any(i < 0 or i >= len(model.leaves) for i in e):
-            out.append(Violation("edge_shape", f"edge {sorted(e)} is not a {t.arity}-subset of elements"))
+    for idx in sorted(map(sorted, model.edges)):
+        if len(idx) != t.arity or idx[0] < 0 or idx[-1] >= len(model.leaves):
+            out.append(Violation("edge_shape", f"edge {idx} is not a {t.arity}-subset of elements"))
             continue
-        if not malformed.isdisjoint(e):
+        if not malformed.isdisjoint(idx):
             continue
         if graphs is None:
             graphs = t._level_graphs(model.level)
-        idx = sorted(e)
         for n, (h, verts) in enumerate(zip(graphs, zip(*(model.leaves[i] for i in idx)))):
             if not h._has(verts):
                 out.append(
@@ -201,65 +199,67 @@ def close_existentially(
     edges.  Stops at a fixpoint over all such formulas or when the element
     budget is hit (reported, not an error).
 
-    Enumeration order is canonical (parameter index tuples, then demanded
-    edge sets, then witness leaves), so closure is deterministic."""
+    The model is checked once, on entry.  The formulas declare their
+    parameters distinct and demand increasing tuples, so one is consistent
+    iff each demanded tuple forms an edge with the witness leaf at every
+    level below m, as decide_qf_formula decides.  Enumeration order is
+    canonical (parameter index tuples, then demanded edge sets, then
+    witness leaves), so closure is deterministic."""
     if param_bound < 1:
         raise InputError("param_bound must be >= 1")
-    cur = model.copy()
-    stems = all_level_stems(t, m)
-    added = 0
     k = t.arity
+    if model.arity != k:
+        raise InputError(f"model arity {model.arity} != template arity {k}")
+    if model.level != m:
+        raise InputError(f"model level {model.level} != closure level {m}")
+    for i, leaf in enumerate(model.leaves):
+        if len(leaf) != m or not in_tree(t, leaf):
+            raise InputError(f"element {i} leaf {leaf} is not a level-{m} leaf of the tree")
+    cur = FiniteModel(k, m, list(map(tuple, model.leaves)), set(model.edges))
+    leaves, edges = cur.leaves, cur.edges
+    bad = [sorted(e) for e in edges if len(e) != k or min(e) < 0 or max(e) >= len(leaves)]
+    if bad:
+        raise InputError(f"edge {min(bad)} is not a {k}-subset of elements")
+    stems = all_level_stems(t, m)
+    graphs = t._level_graphs(m)
+    added = 0
     while True:
-        progressed = False
-        frozen_count = len(cur.leaves)
+        frozen_count = len(leaves)
         for n in range(1, param_bound + 1):
+            tuple_space = list(combinations(range(n), k - 1))
+            demands = [
+                frozenset(c)
+                for size in range(len(tuple_space) + 1)
+                for c in combinations(tuple_space, size)
+            ]
             for params in combinations(range(frozen_count), n):
-                tuple_space = list(combinations(range(n), k - 1))
-                c_choices = [frozenset()] if not tuple_space else [
-                    frozenset(c)
-                    for size in range(len(tuple_space) + 1)
-                    for c in combinations(tuple_space, size)
+                heads = {tup: tuple(params[i] for i in tup) for tup in tuple_space}
+                # the demanded tuples each witness leaf allows
+                allowed = [
+                    {
+                        tup
+                        for tup, idx in heads.items()
+                        if all(map(Hypergraph._has, graphs, zip(x, *(leaves[i] for i in idx))))
+                    }
+                    for x in stems
                 ]
-                for positive in c_choices:
-                    for x_leaf in stems:
-                        spec = QfFormulaSpec(
-                            x_leaf=x_leaf,
-                            param_leaves=tuple(cur.leaves[i] for i in params),
-                            positive=positive,
-                        )
-                        if not decide_qf_formula(t, m, spec):
-                            continue
-                        if _realized(cur, params, positive, x_leaf, k):
+                # the leaf and demanded-edge set of each element outside params
+                realized = set()
+                for b, leaf in enumerate(leaves):
+                    if b not in params:
+                        tups = (tup for tup, idx in heads.items() if frozenset((b, *idx)) in edges)
+                        realized.add((leaf, frozenset(tups)))
+                # a witness added here forms edges with params only, so no
+                # element's carried set changes and no pair comes up twice
+                for positive in demands:
+                    for x, ok in zip(stems, allowed):
+                        if not positive <= ok or (x, positive) in realized:
                             continue
                         if added >= budget:
                             return ClosureResult(cur, added, False)
-                        b = len(cur.leaves)
-                        cur.leaves.append(x_leaf)
-                        for tup in positive:
-                            cur.edges.add(frozenset((b,) + tuple(params[i] for i in tup)))
+                        b = len(leaves)
+                        leaves.append(x)
+                        edges.update(frozenset((b, *heads[tup])) for tup in positive)
                         added += 1
-                        progressed = True
-        if not progressed:
+        if len(leaves) == frozen_count:
             return ClosureResult(cur, added, True)
-
-
-def _realized(
-    model: FiniteModel,
-    params: tuple[int, ...],
-    positive: frozenset[tuple[int, ...]],
-    x_leaf: Stem,
-    k: int,
-) -> bool:
-    tuple_space = list(combinations(range(len(params)), k - 1))
-    for b in range(len(model.leaves)):
-        if b in params or model.leaves[b] != x_leaf:
-            continue
-        ok = True
-        for tup in tuple_space:
-            e = frozenset((b,) + tuple(params[i] for i in tup))
-            if (e in model.edges) != (tup in positive):
-                ok = False
-                break
-        if ok:
-            return True
-    return False

@@ -194,6 +194,41 @@ class TestMalformedInput:
         assert err.startswith("input error: ") and err.count("\n") == 1
 
 
+# close-model is run on TEMPLATE_TEXT at --level 2; each model must end in exit 2
+MALFORMED_CLOSURE = {
+    "leaf outside the tree": (
+        FiniteModel(3, 2, [(0, 1), (9, 9)], set()),
+        "input error: element 1 leaf (9, 9) is not a level-2 leaf of the tree\n",
+    ),
+    "model arity differs from the template's": (
+        FiniteModel(2, 2, [(0, 0), (0, 1)], set()),
+        "input error: model arity 2 != template arity 3\n",
+    ),
+    "edge on an element the model lacks": (
+        FiniteModel(3, 2, [(0, 0), (0, 1)], {frozenset({0, 1, 7})}),
+        "input error: edge [0, 1, 7] is not a 3-subset of elements\n",
+    ),
+    "empty model at another level": (
+        FiniteModel(3, 1, [], set()),
+        "input error: model level 1 != closure level 2\n",
+    ),
+}
+
+
+class TestCloseModelInput:
+    @pytest.mark.parametrize("budget", ["0", "1", "50"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CLOSURE))
+    def test_exit_2_at_every_budget(self, case, budget, tmp_path, capsys):
+        model, err = MALFORMED_CLOSURE[case]
+        tp, mp, out = tmp_path / "t.tpl", tmp_path / "m.mdl", tmp_path / "closed.mdl"
+        tp.write_text(TEMPLATE_TEXT)
+        mp.write_text(ser.dump_model(model))
+        argv = ["close-model", str(tp), str(mp), "--level", "2", "--budget", budget, "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
+
+
 class TestEntryPoints:
     @pytest.mark.parametrize("module", ["hypertemplate", "hypertemplate.cli"])
     def test_python_m_prints_usage(self, module):

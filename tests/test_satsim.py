@@ -123,14 +123,6 @@ class TestBuildDistribution:
         assert isinstance(d, Infeasible)
         assert d.bounds == (1,)
 
-    def test_strict_flag_lowers_bounds(self):
-        t, sc = bottleneck_scenario(1)
-        tab = [2] * 10
-        loose = build_distribution(sc, tab, seed=0)
-        strict = build_distribution(sc, tab, seed=0, strict=True)
-        assert isinstance(loose, Distribution) and isinstance(strict, Distribution)
-        assert loose.bounds == (2,) and strict.bounds == (1,)
-
     def test_agreement_capped_at_index_depth(self):
         t, sc = bottleneck_scenario(1)
         # the signatures first disagree at index 3, past the depth cap

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from hypertemplate import hypergraph
+from hypertemplate import hypergraph, template
 from hypertemplate.cli import run
 from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
@@ -153,10 +153,11 @@ class TestRandomTemplate:
         with pytest.raises(InputError):
             random_template(3, [2], 0.5, [1], seed=0)
 
-    def test_degrades_f_when_retries_run_out(self):
+    def test_degrades_f_when_retries_run_out(self, monkeypatch):
         # a near-empty level cannot support t = 3, but t = 1 always holds
         # via repetition edges, so generation degrades instead of failing
-        t = random_template(2, [6], 1e-9, [3], seed=0, retry_budget=2)
+        monkeypatch.setattr(template, "RETRY_BUDGET", 2)
+        t = random_template(2, [6], 1e-9, [3], seed=0)
         assert t.f_value(0) < 3 and validate(t, 1).valid
 
     def test_declared_arities_proven(self):
@@ -171,10 +172,11 @@ class TestRandomTemplate:
     def test_node_bound_stop_not_accepted(self, monkeypatch):
         # with no search node allowed, neither candidate is proven at t = 4
         args = (3, [10], 0.9, [4])
-        assert random_template(*args, seed=0, retry_budget=2).f_value(0) == 4
+        monkeypatch.setattr(template, "RETRY_BUDGET", 2)
+        assert random_template(*args, seed=0).f_value(0) == 4
         with monkeypatch.context() as m:
             m.setattr(hypergraph, "COVER_SEARCH_NODES", 0)
-            t = random_template(*args, seed=0, retry_budget=2)
+            t = random_template(*args, seed=0)
         h, f = t.levels[0]
         assert 1 <= f < 4
         chk = h.check_extension_property(f)

@@ -101,6 +101,16 @@ class TestCheckModel:
         vs = check_model(t, m)
         assert vs and vs[0].kind == "edge_shape"
 
+    def test_edges_outside_the_elements_reported_in_order(self):
+        t = two_edge_template()
+        edges = {frozenset(e) for e in [(0, 1, 3), (-1, 0, 1), (0, 1, 2), (1, 2, 5)]}
+        m = FiniteModel(3, 2, [(0, 3), (1, 4), (2, 5)], edges)
+        assert [v.detail for v in check_model(t, m)] == [
+            "edge [-1, 0, 1] is not a 3-subset of elements",
+            "edge [0, 1, 3] is not a 3-subset of elements",
+            "edge [1, 2, 5] is not a 3-subset of elements",
+        ]
+
     @pytest.mark.parametrize(
         "leaf, detail",
         [
@@ -239,8 +249,32 @@ class TestCloseExistentially:
         present = set(res.model.leaves)
         assert present == set(all_level_stems(t, 1))
 
+    def test_list_leaves_close_like_tuples(self):
+        t = size2_template(prefix=1)
+        edges = {frozenset({0, 1})}
+        as_lists = close_existentially(t, 1, FiniteModel(2, 1, [[0], [1]], edges), 1, 50)
+        as_tuples = close_existentially(t, 1, FiniteModel(2, 1, [(0,), (1,)], edges), 1, 50)
+        assert as_lists == as_tuples
+
     def test_budget_cut_reported(self):
         t = size2_template(prefix=1)
         m = FiniteModel(2, 1, [(0,), (1,)], set())
         res = close_existentially(t, 1, m, param_bound=1, budget=1)
         assert res.added == 1 and not res.reached_fixpoint
+
+    @pytest.mark.parametrize("leaves, arity, level, edges", [
+        ([(0,), (1, 0)], 2, 1, []),  # a leaf longer than the level
+        ([(0,), (2,)], 2, 1, []),  # a vertex outside the level
+        ([(-1,)], 2, 1, []),
+        ([(0,)], 3, 1, []),  # arity differs from the template's
+        ([(0,)], 2, 2, []),  # level differs from the closure level
+        ([(0,), (1,)], 2, 1, [{0, 2}]),  # an edge off the elements
+        ([(0,), (1,)], 2, 1, [{-1, 0}]),
+        ([(0,), (1,), (1,)], 2, 1, [{0, 1, 2}]),  # an edge of the wrong size
+    ])
+    def test_malformed_model_rejected_before_closing(self, leaves, arity, level, edges):
+        t = size2_template(prefix=1)
+        m = FiniteModel(arity, level, leaves, set(map(frozenset, edges)))
+        for budget in (0, 50):
+            with pytest.raises(InputError):
+                close_existentially(t, 1, m, param_bound=1, budget=budget)

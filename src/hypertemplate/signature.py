@@ -18,16 +18,16 @@ other value is 0 and a signature costs O(k * depth) to fill in;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
-from math import inf
+from math import inf, prod
 from random import Random
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
 from .template import Template
 from .tree import Stem, require_in_tree
-from .typecheck import PositiveTypeSpec, decide_positive_type, m_star
+from .typecheck import PositiveTypeSpec, _scan_levels, decide_positive_type, m_star
 
 # -- canonical enumerations ------------------------------------------------
 
@@ -197,6 +197,11 @@ class SearchBudget:
     resamples: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        for name in ("stem_depth", "families", "resamples"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 Family = tuple[ParamType, ...]
 
@@ -223,40 +228,37 @@ def family_consistent(t: Template, family: Family) -> bool:
     joint type.  A tuple whose pattern merges two variables can never head
     a positive instance (the edge relation is irreflexive), so such types
     fall outside the admissible set and the family is rejected."""
-    return _family_consistent(t, family, m_star(t, max(1, len(family))) + 1)
-
-
-def _family_consistent(t: Template, family: Family, floor: int) -> bool:
-    """The body of ``family_consistent``; ``floor`` is m*(t, |family|) + 1,
-    which a caller checking many families of one size computes once."""
-    for pt in family:
-        eq = pt.equality
-        if len(set(eq)) < len(eq):
-            return False
-    params = tuple(pt.stems for pt in family)
+    if any(len(set(pt.equality)) < len(pt.equality) for pt in family):
+        return False
     length = max((pt.stem_length for pt in family), default=1)
-    spec = PositiveTypeSpec(params=params)
-    return decide_positive_type(t, spec, max(length, floor)).consistent
+    spec = PositiveTypeSpec(params=tuple(pt.stems for pt in family))
+    return decide_positive_type(t, spec, max(length, m_star(t, max(1, len(family))) + 1)).consistent
 
 
-def _sample_type(sizes: Sequence[int], variables: int, rng: Random) -> ParamType:
-    stems = tuple(tuple(rng.randrange(m) for m in sizes) for _ in range(variables))
-    return ParamType(stems=stems)
+def _sample_stems(sizes: Sequence[int], variables: int, rng: Random) -> tuple[Stem, ...]:
+    return tuple(tuple(rng.randrange(m) for m in sizes) for _ in range(variables))
 
 
 def _sample_matching(
-    base: ParamType, n: int, sizes: Sequence[int], lc: int, rng: Random, tries: int
-) -> Optional[ParamType]:
-    """A type agreeing with base on signature indices < n, random beyond:
-    stems keep base's first lc (the coverage level of n) entries."""
+    base: tuple[Stem, ...], n: int, sizes: Sequence[int], lc: int, rng: Random, tries: int
+) -> Optional[tuple[Stem, ...]]:
+    """Stems agreeing with base's on signature indices < n, random beyond.
+    They keep base's first lc (the coverage level of n) entries, so only
+    the predicates of length lc + 1 can differ: each stem must sit under
+    base's there, or under one of index >= n where base's index is >= n."""
     if n <= 0:
-        return _sample_type(sizes, len(base.stems), rng)
-    code = pattern_index(base.equality)
-    base_sig = _signature_prefix(sizes, code, base.stems, n)
+        return _sample_stems(sizes, len(base), rng)
+    if lc >= len(sizes):
+        return base  # nothing is left to draw
+    first = n - 1 - sum(prod(sizes[: l + 1]) for l in range(lc))  # least level-lc rank of index >= n
+    window = []  # per stem, the vertices it may take at level lc
+    for s in base:
+        start = first - reduce(lambda r, l: r * sizes[l] + s[l], range(lc), 0) * sizes[lc]
+        window.append((s[lc], s[lc]) if s[lc] < start else (start, sizes[lc]))
     for _ in range(tries):
-        stems = tuple(s[:lc] + tuple(rng.randrange(m) for m in sizes[lc:]) for s in base.stems)
-        if _signature_prefix(sizes, code, stems, n) == base_sig:
-            return ParamType(stems=stems, equality=base.equality)
+        stems = tuple(s[:lc] + tuple(rng.randrange(m) for m in sizes[lc:]) for s in base)
+        if all(lo <= s[lc] <= hi for s, (lo, hi) in zip(stems, window)):
+            return stems
     return None
 
 
@@ -268,30 +270,32 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
     Finding one refutes the agreement property at (s, n) exactly; finding
     none is only "holds up to budget", except on templates where every
     family is consistent (complete everywhere) or where n already pins
-    types past the stabilization level, which are proved analytically."""
+    types past the stabilization level, which are proved analytically.
+    Sampled stems are in-tree and discrete: the level scan decides them."""
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
     ms = m_star(t, s)
     analytic = t.is_complete() or predicate_count(t, ms) + 1 <= n
     sizes = [t.level_size(l) for l in range(budget.stem_depth)]
+    graphs = t._level_graphs(max(budget.stem_depth, ms + 1))
     lc = coverage_level(t, n)
     rng = Random(budget.seed)
     tried = 0
     for _ in range(budget.families):
         tried += 1
-        fam_a = tuple(_sample_type(sizes, t.arity - 1, rng) for _ in range(s))
-        if not _family_consistent(t, fam_a, ms + 1):
+        fam_a = tuple(_sample_stems(sizes, t.arity - 1, rng) for _ in range(s))
+        if not _scan_levels(graphs, fam_a).consistent:
             continue
         fam_b = []
-        for pt in fam_a:
-            match = _sample_matching(pt, n, sizes, lc, rng, budget.resamples)
+        for stems in fam_a:
+            match = _sample_matching(stems, n, sizes, lc, rng, budget.resamples)
             if match is None:
                 break
             fam_b.append(match)
         if len(fam_b) != s:
             continue
-        fam_b = tuple(fam_b)
-        if not _family_consistent(t, fam_b, ms + 1):
+        if not _scan_levels(graphs, fam_b).consistent:
+            fam_a, fam_b = (tuple(ParamType(stems=st) for st in fam) for fam in (fam_a, fam_b))
             return OplusResult(s, n, False, OplusCounterexample(fam_a, fam_b, n), tried)
     return OplusResult(s, n, True, None, tried, analytic=analytic)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InputError, PreconditionError
 from .hypergraph import Hypergraph
@@ -86,8 +86,7 @@ def decide_positive_type(
     Returns the canonical least-per-level witness stem when consistent.
     """
     rows = _validated_params(t, spec)
-    L = spec.common_length()
-    needed = max(L, m_star(t, max(1, len(rows))) + 1)
+    needed = max(spec.common_length(), m_star(t, max(1, len(rows))) + 1)
     if check_depth < needed:
         raise InputError(
             f"check_depth {check_depth} below required bound {needed}"
@@ -99,10 +98,17 @@ def decide_positive_type(
             raise InputError("x_stem longer than check_depth")
     if not rows:
         return TypeDecision(True, x + (0,) * (check_depth - len(x)))
+    return _scan_levels(t._level_graphs(check_depth), rows, x)
+
+
+def _scan_levels(graphs: Sequence[Hypergraph], rows: Sequence, x: Stem = ()) -> TypeDecision:
+    """The witness scan over these levels, unchecked: rows (at least one) of
+    k-1 in-tree stems of one length, and x, must not outrun the levels."""
+    depth = len(graphs)
     # stems padded canonically with least vertices, then the tuples of each level
-    levels = zip(*(zip(*(s + (0,) * (check_depth - L) for s in stems)) for stems in rows))
+    levels = zip(*(zip(*(s + (0,) * (depth - len(s)) for s in stems)) for stems in rows))
     out = []
-    for n, (h, tuples) in enumerate(zip(t._level_graphs(check_depth), levels)):
+    for n, (h, tuples) in enumerate(zip(graphs, levels)):
         if n < len(x):
             if not all(h._has((x[n],) + tup) for tup in tuples):
                 return TypeDecision(False, None, failing_level=n)

@@ -229,6 +229,28 @@ class TestCloseModelInput:
         assert not out.exists()
 
 
+# (flag, value, message): a search budget below one is an input error
+BAD_BUDGETS = [
+    ("--stem-depth", "0", "stem_depth must be >= 1, got 0"),
+    ("--stem-depth", "-1", "stem_depth must be >= 1, got -1"),
+    ("--families", "-3", "families must be >= 1, got -3"),
+    ("--families", "0", "families must be >= 1, got 0"),
+]
+
+
+class TestSearchBudgetInput:
+    @pytest.mark.parametrize("flag, value, message", BAD_BUDGETS)
+    @pytest.mark.parametrize("verb", [["oplus", "--s", "2", "--n", "3"], ["estimate-fg", "--F", "2", "--G", "1"]])
+    def test_exit_2_without_report(self, verb, flag, value, message, random_file, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        argv = [verb[0], random_file, *verb[1:], flag, value, "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        assert not out.exists()
+        assert run(argv[:-2]) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
 class TestEntryPoints:
     @pytest.mark.parametrize("module", ["hypertemplate", "hypertemplate.cli"])
     def test_python_m_prints_usage(self, module):

@@ -149,6 +149,21 @@ class TestFamilyConsistent:
 
 
 class TestOplus:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("stem_depth", 0), ("stem_depth", -1), ("families", 0), ("families", -3), ("resamples", 0)],
+    )
+    def test_budget_below_one_rejected(self, field, value):
+        with pytest.raises(InputError, match=f"^{field} must be >= 1, got {value}$"):
+            SearchBudget(**{field: value})
+
+    def test_coverage_past_stem_depth_keeps_base(self):
+        # lc >= stem_depth: nothing is left to draw, so the match is base itself
+        t = bottleneck_template()
+        assert coverage_level(t, 200) >= 2
+        res = oplus_test(t, 1, 200, SearchBudget(stem_depth=2, families=20))
+        assert res.counterexample is None and res.families_tried == 20
+
     def test_complete_template_holds_analytically(self):
         t = complete_template(3, 3)
         res = oplus_test(t, 2, 0, SearchBudget(families=50))

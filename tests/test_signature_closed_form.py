@@ -2,24 +2,33 @@
 the agreement test's random draws."""
 
 import hashlib
+from itertools import combinations
+from math import prod
+from random import Random
 
 from hypothesis import given, settings, strategies as st
 
 from hypertemplate.hypergraph import Hypergraph
-from hypertemplate.oracle import naive_f_signature
+from hypertemplate.oracle import brute_force_positive_type, naive_f_signature
 from hypertemplate.signature import (
     F_estimate,
     G_estimate,
     ParamType,
     SearchBudget,
+    _sample_matching,
+    _sample_stems,
     _signature_prefix,
+    analytic_f_bound,
+    coverage_level,
     equality_patterns,
+    family_consistent,
     f_signature,
     oplus_test,
     pattern_index,
     predicate_count,
 )
-from hypertemplate.template import TailPolicy, Template
+from hypertemplate.template import TailPolicy, Template, random_template
+from hypertemplate.typecheck import PositiveTypeSpec, _scan_levels, decide_positive_type, m_star
 
 
 @st.composite
@@ -66,6 +75,75 @@ class TestClosedForm:
         # level 0: prefix 1 at 1 + 1; level 1: 1 + 4 + rank(1, x);
         # level 2: 1 + 4 + 16 + rank(1, x, y)
         assert nonzero == {2: 0b11, 5 + 6: 0b01, 5 + 4: 0b10, 21 + 27: 0b01, 21 + 16: 0b10}
+
+
+@st.composite
+def sampled_families(draw):
+    """A template (k in 2..4, one to three stored levels of sizes 2..4 with
+    random uniform edges and any declared f, any tail growth) and s in 1..3
+    parameter tuples drawn as the agreement test draws them, at a stem
+    depth of 1..5: below m* + 1 or past the stored prefix as it falls."""
+    k = draw(st.integers(2, 4))
+    levels = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(2, 4))
+        tuples = list(combinations(range(size), k))
+        edges = draw(st.lists(st.sampled_from(tuples), unique=True)) if tuples else []
+        levels.append((Hypergraph(k, size, edges), draw(st.integers(1, size))))
+    t = Template(k, levels, TailPolicy("complete_growing", draw(st.integers(1, 2))))
+    sizes = [t.level_size(l) for l in range(draw(st.integers(1, 5)))]
+    rng = Random(draw(st.integers(0, 2**32)))
+    return t, tuple(_sample_stems(sizes, k - 1, rng) for _ in range(draw(st.integers(1, 3))))
+
+
+@st.composite
+def matching_cases(draw):
+    """Level sizes down to a stem depth of 1..5 (stored sizes 1..5, then the
+    tail), base stems over them, n from 0 to past the last index they
+    reach, the coverage level of n (len(sizes) or more once n is past the
+    stems), a try count and a seed."""
+    k = draw(st.integers(2, 4))
+    stored = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    t = Template(k, [(Hypergraph(k, s), 1) for s in stored], TailPolicy("complete_growing", 1))
+    depth = draw(st.integers(1, 5))
+    sizes = [t.level_size(l) for l in range(depth)]
+    base = tuple(tuple(draw(st.integers(0, m - 1)) for m in sizes) for _ in range(k - 1))
+    n = draw(st.integers(0, predicate_count(t, depth) + 3))
+    return base, n, sizes, coverage_level(t, n), draw(st.integers(1, 3)), draw(st.integers(0, 2**32))
+
+
+def _prefix_matching(base, n, sizes, lc, rng, tries):
+    """The match by whole signature prefixes, as the agreement test first
+    computed it: draw stems keeping base's first lc entries until their
+    first n signature values equal base's."""
+    want = _signature_prefix(sizes, 0, base, n)
+    for _ in range(tries):
+        stems = tuple(s[:lc] + tuple(rng.randrange(m) for m in sizes[lc:]) for s in base)
+        if _signature_prefix(sizes, 0, stems, n) == want:
+            return stems
+    return None
+
+
+class TestAgreementShortcuts:
+    @settings(max_examples=300, deadline=None)
+    @given(sampled_families())
+    def test_scan_matches_checked_path(self, case):
+        t, family = case
+        depth = max(len(family[0][0]), m_star(t, len(family)) + 1)
+        dec = _scan_levels(t._level_graphs(depth), family)
+        assert dec.consistent == family_consistent(t, tuple(ParamType(stems=st) for st in family))
+        spec = PositiveTypeSpec(params=family)
+        assert dec == decide_positive_type(t, spec, depth)
+        if prod(t.level_size(l) for l in range(depth)) <= 500:
+            assert (dec.consistent, dec.witness) == brute_force_positive_type(t, spec, depth)
+
+    @settings(max_examples=500, deadline=None)
+    @given(matching_cases())
+    def test_one_level_match_equals_prefix_match(self, case):
+        *args, tries, seed = case
+        rng, ref_rng = Random(seed), Random(seed)
+        assert _sample_matching(*args, rng, tries) == _prefix_matching(*args, ref_rng, tries)
+        assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
 
 
 def _pinned(t, seed):
@@ -116,3 +194,37 @@ def test_agreement_draws_pinned():
         for seed in (0, 1, 2)
     }
     assert got == PINNED
+
+
+# (level sizes, edge probability, target f) per arity; each gives a
+# non-complete template whose stored prefix ends at depth 2
+WIDE_SHAPES = {2: ((3, 3), 0.5, (1, 2)), 3: ((3, 4), 0.6, (1, 2)), 4: ((4, 4), 0.7, (1, 2))}
+
+# Recorded before sampled families were decided on the shared level scan.
+WIDE_PIN = "ba9fcf04f4f9ed40155fdb7de8f0c539b261a9420a667cc6f54730adf3573386"
+
+
+def _wide_results(k, seed):
+    """F, G and every oplus_test result from n = 0 to analytic_f_bound + 1
+    (so the coverage level passes the stem depth), for s = 1..3, stem depths
+    1..5 (below m* + 1 and past the stored prefix) and resamples 1 and 10."""
+    sizes, p, target = WIDE_SHAPES[k]
+    t = random_template(k, sizes, p, target, seed=seed)
+    assert not t.is_complete()
+    out = []
+    for stem_depth in range(1, 6):
+        for resamples in (1, 10):
+            budget = SearchBudget(stem_depth=stem_depth, families=10, resamples=resamples, seed=seed)
+            for s in (1, 2, 3):
+                out.append(F_estimate(t, s, budget))
+                out.extend(oplus_test(t, s, n, budget) for n in range(analytic_f_bound(t, s) + 2))
+            out.extend(G_estimate(t, n, budget, s_cap=3) for n in range(analytic_f_bound(t, 2) + 2))
+    return out
+
+
+def test_agreement_wide_pinned():
+    digest = hashlib.sha256()
+    for k in (2, 3, 4):
+        for seed in (0, 1):
+            digest.update(repr(_wide_results(k, seed)).encode())
+    assert digest.hexdigest() == WIDE_PIN

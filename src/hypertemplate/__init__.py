@@ -28,6 +28,7 @@ from .template import (
 )
 from .tree import (
     Stem,
+    TypeDecision,
     complete_to_leaf,
     einfty_prefix,
     enumerate_edge_partners,
@@ -40,7 +41,6 @@ from .typecheck import (
     QfFormulaSpec,
     TransferCounterexample,
     TransferReport,
-    TypeDecision,
     decide_positive_type,
     decide_qf_formula,
     m_star,

@@ -32,12 +32,7 @@ from .signature import (
 )
 from .template import complete_template, random_template, validate
 from .theory import amalgamate, build_random_model, check_model, close_existentially
-from .typecheck import (
-    PositiveTypeSpec,
-    decide_positive_type,
-    m_star,
-    transfer_check,
-)
+from .typecheck import decide_positive_type, m_star, transfer_check
 
 OK, NEGATIVE, INPUT_ERROR, INDETERMINATE, INTERNAL = 0, 1, 2, 3, 4
 

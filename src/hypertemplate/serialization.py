@@ -7,7 +7,7 @@ exactly what writers produce.  All integers are decimal.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import InputError
 from .hypergraph import Hypergraph

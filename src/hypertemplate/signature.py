@@ -26,8 +26,8 @@ from typing import Optional, Sequence, Union
 
 from .errors import InputError
 from .template import Template
-from .tree import Stem, require_in_tree
-from .typecheck import PositiveTypeSpec, _scan_levels, decide_positive_type, m_star
+from .tree import Stem, _scan_levels, require_in_tree
+from .typecheck import PositiveTypeSpec, decide_positive_type, m_star
 
 # -- canonical enumerations ------------------------------------------------
 
@@ -274,10 +274,9 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
     Sampled stems are in-tree and discrete: the level scan decides them."""
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
-    ms = m_star(t, s)
-    analytic = t.is_complete() or predicate_count(t, ms) + 1 <= n
+    analytic = t.is_complete() or analytic_f_bound(t, s) <= n
     sizes = [t.level_size(l) for l in range(budget.stem_depth)]
-    graphs = t._level_graphs(max(budget.stem_depth, ms + 1))
+    graphs = t._level_graphs(budget.stem_depth)  # past the stems 0 is a witness
     lc = coverage_level(t, n)
     rng = Random(budget.seed)
     tried = 0
@@ -324,6 +323,8 @@ def analytic_f_bound(t: Template, s: int) -> int:
 def F_estimate(t: Template, s: int, budget: SearchBudget) -> FEstimate:
     """Least n at which no agreement counterexample is found, with exact
     lower-bound certificates for every smaller n."""
+    if s < 1:
+        raise InputError(f"count must be >= 1, got {s}")
     if t.is_complete():
         return FEstimate(s, 0, 0, True, 0, ())
     bound = analytic_f_bound(t, s)
@@ -358,6 +359,8 @@ def analytic_g_lower(t: Template, n: int) -> int:
 def G_estimate(t: Template, n: int, budget: SearchBudget, s_cap: int = 8) -> GEstimate:
     """Largest s whose agreement test at n finds no counterexample, capped
     at s_cap; infinite on complete templates."""
+    if n < 0:
+        raise InputError("need s >= 1 and n >= 0")
     if t.is_complete():
         return GEstimate(n, INFINITE, True, s_cap, None)
     lower = analytic_g_lower(t, n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import GenerationError, InputError
 from .hypergraph import Hypergraph, complete_hypergraph, random_hypergraph

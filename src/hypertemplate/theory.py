@@ -8,7 +8,7 @@ when the leaves of its endpoints fail to form an edge at some level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from random import Random
 from typing import Optional, Sequence

@@ -1,18 +1,23 @@
-"""The tree of level-wise vertex choices and its leaf stems.
+"""The tree of level-wise vertex choices, its leaf stems and the one
+witness scan.
 
 A leaf stem is a finite tuple of vertex indices, one per level; full leaves
-are never materialized.  Completion extends a stem level by level with the
-least extension witness, so every leaf-valued result is deterministic.
-Public functions check their stems once, on entry; past that check they
-look edges up through the template's level tuples and the hypergraphs'
-unchecked helpers, which trust their callers.
+are never materialized.  Completion and the decision procedures share one
+per-level scan, _scan_levels: it keeps a given stem where that forms the
+edges and else takes the least witness, so every leaf-valued result is
+deterministic, and its callers stop it where the stems end, since past
+them vertex 0 is always a witness.  Public functions check their stems
+once, on entry; past that check they look edges up through the template's
+level tuples and the hypergraphs' unchecked helpers, which trust their
+callers.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb, factorial
 from operator import lt
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InputError, InternalConsistencyError, PreconditionError
 from .hypergraph import Hypergraph
@@ -85,22 +90,48 @@ def complete_to_leaf(
         )
     if not rows:
         return nu + (0,) * (target_len - len(nu))
-    out = list(nu)
-    # the constraint tuples of each level, in constraint order
-    levels = zip(t._level_graphs(target_len), zip(*(zip(*stems) for stems in rows)))
-    for n, (h, tuples) in enumerate(levels):
-        if n < len(nu):
-            for i, tup in enumerate(tuples):
-                if not h._has((nu[n],) + tup):
-                    raise PreconditionError(f"hypothesis fails at level {n} for constraint {i}")
-            continue
-        w = h._witness(tuples)
-        if w is None:
-            raise InternalConsistencyError(
-                f"no witness at level {n}: the template's declared arities do not hold"
-            )
-        out.append(w)
-    return tuple(out)
+    graphs = t._level_graphs(target_len)
+    dec = _scan_levels(graphs, rows, nu)
+    n = dec.failing_level
+    if n is None:
+        return dec.witness
+    if n < len(nu):
+        for i, stems in enumerate(rows):
+            if not graphs[n]._has((nu[n],) + tuple(s[n] for s in stems)):
+                raise PreconditionError(f"hypothesis fails at level {n} for constraint {i}")
+    raise InternalConsistencyError(f"no witness at level {n}: the template's declared arities do not hold")
+
+
+@dataclass(frozen=True)
+class TypeDecision:
+    consistent: bool
+    witness: Optional[Stem]
+    failing_level: Optional[int] = None
+
+
+def _scan_levels(graphs: Sequence[Hypergraph], rows: Sequence, x: Stem = ()) -> TypeDecision:
+    """The one per-level witness scan, unchecked: level n keeps x[n] if it
+    forms an edge with each row's tuple (rows: at least one, of k-1 in-tree
+    stems, padded with 0) and past x takes the least witness.  Past x and
+    the stems each tuple repeats vertex 0 (or is (0,) when k = 2), so 0 is
+    the witness: callers stop there and pad the witness with 0."""
+    depth = len(graphs)
+    # stems padded canonically with least vertices, then the tuples of each level
+    levels = zip(*(zip(*(s + (0,) * (depth - len(s)) for s in stems)) for stems in rows))
+    out = []
+    for n, (h, tuples) in enumerate(zip(graphs, levels)):
+        if n < len(x):
+            v = x[n]
+            for tup in tuples:
+                if not h._has((v,) + tup):
+                    return TypeDecision(False, None, failing_level=n)
+            out.append(v)
+        else:
+            w = h._witness(tuples)
+            if w is None:
+                return TypeDecision(False, None, failing_level=n)
+            out.append(w)
+    return TypeDecision(True, tuple(out))
 
 
 def extend_canonically(t: Template, stem: Sequence[int], target_len: int) -> Stem:

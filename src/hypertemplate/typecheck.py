@@ -4,13 +4,15 @@ transfer.
 The load-bearing observation: the witness search for a new element
 decomposes level by level, because the coordinate chosen at level n is
 constrained only by level-n edges.  That turns positive-type consistency
-into a per-level scan instead of a search over whole stems, and the
-brute-force stem enumeration in oracle.py exists precisely to confirm the
-two routes agree.  Level transfer decomposes the same way: it depends on
-the stabilization level alone, where one bounded smallest-cover search
-decides it (oracle.py samples formulas instead).  Each procedure checks its
-input once, on entry, and then scans the levels with the hypergraphs'
-unchecked helpers, which trust their callers.
+into a per-level scan (tree._scan_levels, shared with completion and the
+agreement test, and stopped where x and the stems end, since past them
+vertex 0 is always a witness) instead of a search over whole stems; the
+brute-force stem enumeration in oracle.py confirms the two routes agree.
+Level transfer decomposes the same way: it depends on the stabilization
+level alone, where one bounded smallest-cover search decides it (oracle.py
+samples formulas instead).  Each procedure checks its input once, on
+entry, and then scans the levels with the hypergraphs' unchecked helpers,
+which trust their callers.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError, PreconditionError
 from .hypergraph import Hypergraph
 from .template import Template
-from .tree import Stem, require_in_tree
+from .tree import Stem, TypeDecision, _scan_levels, require_in_tree
 
 
 def m_star(t: Template, count: int) -> int:
@@ -50,13 +52,6 @@ class PositiveTypeSpec:
         return len(self.params[0][0])
 
 
-@dataclass(frozen=True)
-class TypeDecision:
-    consistent: bool
-    witness: Optional[Stem]
-    failing_level: Optional[int] = None
-
-
 def _validated_params(t: Template, spec: PositiveTypeSpec) -> list[list[Stem]]:
     rows = []
     length = None
@@ -73,9 +68,7 @@ def _validated_params(t: Template, spec: PositiveTypeSpec) -> list[list[Stem]]:
     return rows
 
 
-def decide_positive_type(
-    t: Template, spec: PositiveTypeSpec, check_depth: int
-) -> TypeDecision:
+def decide_positive_type(t: Template, spec: PositiveTypeSpec, check_depth: int) -> TypeDecision:
     """Decide whether {R(x, rho^i) : i < t} plus the x-stem constraint is
     consistent with the template's full theory.
 
@@ -83,42 +76,25 @@ def decide_positive_type(
     a witness vertex forming an edge with every parameter tuple there.
     Past check_depth the declared arities guarantee witnesses, because
     check_depth must exceed the stabilization level for t constraints.
-    Returns the canonical least-per-level witness stem when consistent.
+    Below it the scan stops where x and the stems end, since past them
+    vertex 0 is always a witness.  Returns the canonical least-per-level
+    witness stem, padded with 0 to check_depth, when consistent.
     """
     rows = _validated_params(t, spec)
     needed = max(spec.common_length(), m_star(t, max(1, len(rows))) + 1)
     if check_depth < needed:
-        raise InputError(
-            f"check_depth {check_depth} below required bound {needed}"
-        )
+        raise InputError(f"check_depth {check_depth} below required bound {needed}")
     x = ()
     if spec.x_stem is not None:
         x = require_in_tree(t, spec.x_stem, "x_stem")
         if len(x) > check_depth:
             raise InputError("x_stem longer than check_depth")
-    if not rows:
-        return TypeDecision(True, x + (0,) * (check_depth - len(x)))
-    return _scan_levels(t._level_graphs(check_depth), rows, x)
-
-
-def _scan_levels(graphs: Sequence[Hypergraph], rows: Sequence, x: Stem = ()) -> TypeDecision:
-    """The witness scan over these levels, unchecked: rows (at least one) of
-    k-1 in-tree stems of one length, and x, must not outrun the levels."""
-    depth = len(graphs)
-    # stems padded canonically with least vertices, then the tuples of each level
-    levels = zip(*(zip(*(s + (0,) * (depth - len(s)) for s in stems)) for stems in rows))
-    out = []
-    for n, (h, tuples) in enumerate(zip(graphs, levels)):
-        if n < len(x):
-            if not all(h._has((x[n],) + tup) for tup in tuples):
-                return TypeDecision(False, None, failing_level=n)
-            out.append(x[n])
-        else:
-            w = h._witness(tuples)
-            if w is None:
-                return TypeDecision(False, None, failing_level=n)
-            out.append(w)
-    return TypeDecision(True, tuple(out))
+    if rows:
+        dec = _scan_levels(t._level_graphs(max(spec.common_length(), len(x))), rows, x)
+        if not dec.consistent:
+            return dec
+        x = dec.witness
+    return TypeDecision(True, x + (0,) * (check_depth - len(x)))
 
 
 # -- complete quantifier-free formulas -------------------------------------
@@ -162,9 +138,10 @@ def decide_qf_formula(
     demanded edge repeats an element or collides, up to permutation, with a
     demanded non-edge, (iii) every demanded edge survives all m levels.
     Non-edges impose nothing further: inside allowed tuples the edge
-    relation behaves like a random hypergraph.  With for_limit_theory, the
-    demanded edges must also persist to all levels, decided through the
-    positive-type procedure.
+    relation behaves like a random hypergraph.  for_limit_theory (the
+    demanded edges persist to all levels) changes nothing: x and the
+    parameters have length m, so past level m every demanded tuple is
+    padded with vertex 0 and is an edge.
     """
     x = require_in_tree(t, spec.x_leaf, "x_leaf")
     if len(x) != m:
@@ -196,13 +173,6 @@ def decide_qf_formula(
     for tup in spec.positive:
         if not all(map(Hypergraph._has, t._level_graphs(m), zip(x, *(leaves[i] for i in tup)))):
             return False
-    if for_limit_theory and spec.positive:
-        params = tuple(
-            tuple(leaves[i] for i in tup) for tup in sorted(spec.positive)
-        )
-        pspec = PositiveTypeSpec(params=params, x_stem=x)
-        depth = max(m, m_star(t, len(params)) + 1)
-        return decide_positive_type(t, pspec, depth).consistent
     return True
 
 

@@ -10,7 +10,8 @@ import hypertemplate
 from hypertemplate import serialization as ser
 from hypertemplate.cli import build_parser, run
 from hypertemplate.errors import InternalConsistencyError
-from hypertemplate.template import complete_template, corrupt_level, random_template
+from hypertemplate.hypergraph import Hypergraph
+from hypertemplate.template import TailPolicy, Template, complete_template, corrupt_level, random_template
 from hypertemplate.theory import FiniteModel, build_random_model
 from hypertemplate.typecheck import PositiveTypeSpec
 from hypertemplate.signature import ParamType
@@ -236,6 +237,29 @@ BAD_BUDGETS = [
     ("--families", "-3", "families must be >= 1, got -3"),
     ("--families", "0", "families must be >= 1, got 0"),
 ]
+
+
+# (flag, value, message): F_estimate/G_estimate check s and n before any
+# shortcut, so complete and non-complete templates reject them alike
+BAD_COUNTS = [
+    ("--F", "0", "count must be >= 1, got 0"),
+    ("--F", "-2", "count must be >= 1, got -2"),
+    ("--G", "-1", "need s >= 1 and n >= 0"),
+]
+
+
+class TestEstimateCountInput:
+    @pytest.mark.parametrize("flag, value, message", BAD_COUNTS)
+    @pytest.mark.parametrize("template", [
+        complete_template(3, 2),
+        Template(2, [(Hypergraph(2, 2), 1)], TailPolicy("complete_growing", 1)),  # not complete
+    ])
+    def test_exit_2_without_report(self, template, flag, value, message, tmp_path, capsys):
+        tp, out = tmp_path / "t.tpl", tmp_path / "report.txt"
+        tp.write_text(ser.dump_template(template))
+        assert run(["estimate-fg", str(tp), flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        assert not out.exists()
 
 
 class TestSearchBudgetInput:

@@ -207,6 +207,16 @@ class TestFandG:
             est = G_estimate(t, n, SearchBudget(families=20))
             assert est.value == inf and est.exact
 
+    @pytest.mark.parametrize("template", [complete_template(3, 2), bottleneck_template()])
+    def test_bad_counts_rejected_before_shortcut(self, template):
+        # the complete shortcut must not answer for s < 1 or n < 0
+        budget = SearchBudget(families=5)
+        for s in (0, -2):
+            with pytest.raises(InputError, match=f"count must be >= 1, got {s}"):
+                F_estimate(template, s, budget)
+        with pytest.raises(InputError, match="need s >= 1 and n >= 0"):
+            G_estimate(template, -1, budget)
+
     def test_bottleneck_F2(self):
         t = bottleneck_template()
         est = F_estimate(t, 2, SearchBudget(families=300))

@@ -28,7 +28,8 @@ from hypertemplate.signature import (
     predicate_count,
 )
 from hypertemplate.template import TailPolicy, Template, random_template
-from hypertemplate.typecheck import PositiveTypeSpec, _scan_levels, decide_positive_type, m_star
+from hypertemplate.tree import _scan_levels
+from hypertemplate.typecheck import PositiveTypeSpec, decide_positive_type, m_star
 
 
 @st.composite
@@ -59,14 +60,27 @@ class TestClosedForm:
     @settings(max_examples=150, deadline=None)
     @given(typed_signature_cases())
     def test_prefix_matches_restrict(self, case):
+        # slices of the whole signature, at every n where the prefix can
+        # change shape: near the start, each level offset, each position a
+        # stem writes and the end; stems are cut to the levels n needs
         t, ptype, depth = case
         sig = f_signature(t, ptype, depth)
         total = 1 + predicate_count(t, depth)
         assert len(sig.values) == total
         sizes = [t.level_size(l) for l in range(depth)]
+        offsets = [1 + predicate_count(t, l) for l in range(depth + 1)]  # the last is total
+        written = []
+        for stem in ptype.stems:
+            rank = 0
+            for l in range(depth):
+                rank = rank * sizes[l] + stem[l]
+                written.append(offsets[l] + rank)
+        ns = {p + d for p in offsets + written for d in (-1, 0, 1)}
+        ns |= {*range(4), *range(total, total + 4)}
         code = pattern_index(ptype.equality)
-        for n in range(total + 3):
-            assert tuple(_signature_prefix(sizes, code, ptype.stems, n)) == sig.restrict(n)
+        for n in sorted(ns):
+            cut = tuple(stem[: sum(o < n for o in offsets[:-1])] for stem in ptype.stems)
+            assert tuple(_signature_prefix(sizes, code, cut, n)) == sig.restrict(n)
 
     def test_sparse(self):
         t = Template(3, [(Hypergraph(3, 4), 1)] * 3)

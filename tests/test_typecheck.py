@@ -1,6 +1,8 @@
+from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypertemplate.errors import InputError, PreconditionError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
@@ -21,6 +23,7 @@ from hypertemplate.typecheck import (
     m_star,
     transfer_check,
 )
+from hypertemplate.tree import _scan_levels
 
 
 def repetition_only_template(arity=3, size=3):
@@ -190,26 +193,70 @@ class TestDecideQfFormula:
         assert not decide_qf_formula(t, 1, spec)
 
     def test_limit_theory_implies_every_finite_level(self):
+        # x and the leaves end at m, so the limit theory decides exactly as
+        # level m does: the full scan, to past the stabilization level,
+        # agrees with both answers
         rng = Random(13)
-        for seed in range(10):
-            t = random_template(3, [4, 4], 0.8, [1, 2], seed=seed)
-            for _ in range(20):
-                m = rng.randint(1, 2)
-                n = rng.randint(2, 3)
-                leaves = tuple(
-                    tuple(rng.randrange(t.level_size(l)) for l in range(m))
-                    for _ in range(n)
-                )
-                x = tuple(rng.randrange(t.level_size(l)) for l in range(m))
-                import itertools
+        for k in (2, 3, 4):
+            for seed in range(8):
+                t = random_template(k, [4, 4], 0.8, [1, 2], seed=seed)
+                for _ in range(20):
+                    m = rng.randint(1, t.prefix_len + 2)
+                    n = rng.randint(k - 1, k + 1)
+                    leaves = tuple(
+                        tuple(rng.randrange(t.level_size(l)) for l in range(m))
+                        for _ in range(n)
+                    )
+                    x = tuple(rng.randrange(t.level_size(l)) for l in range(m))
+                    if rng.random() < 0.5:  # on a parameter's leaf demanded edges tend to hold
+                        x = leaves[rng.randrange(n)]
+                    pos = frozenset(
+                        tup for tup in combinations(range(n), k - 1) if rng.random() < 0.4
+                    )
+                    spec = QfFormulaSpec(x_leaf=x, param_leaves=leaves, positive=pos)
+                    limit = decide_qf_formula(t, m, spec, for_limit_theory=True)
+                    assert limit == decide_qf_formula(t, m, spec)
+                    if pos and limit:
+                        rows = [[leaves[i] for i in tup] for tup in sorted(pos)]
+                        depth = max(m, m_star(t, len(rows)) + 1)
+                        assert _scan_levels(t._level_graphs(depth), rows, x).consistent
 
-                tuples = list(itertools.combinations(range(n), 2))
-                pos = frozenset(
-                    tup for tup in tuples if rng.random() < 0.4
-                )
-                spec = QfFormulaSpec(x_leaf=x, param_leaves=leaves, positive=pos)
-                if decide_qf_formula(t, m, spec, for_limit_theory=True):
-                    assert decide_qf_formula(t, m, spec)
+
+@st.composite
+def scan_cases(draw):
+    """A template (k in 2..4, one to four stored levels of sizes 1..4 with
+    random uniform edges, then the complete tail), parameter stems of one
+    length L in 0..3, an x stem that often outruns them, and a check depth
+    at or past the required bound."""
+    k = draw(st.integers(2, 4))
+    levels = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.integers(1, 4))
+        tuples = list(combinations(range(size), k))
+        edges = draw(st.lists(st.sampled_from(tuples), unique=True)) if tuples else []
+        levels.append((Hypergraph(k, size, edges), 1))
+    t = Template(k, levels, TailPolicy("complete_growing", 1))
+
+    def stem(length):
+        return st.tuples(*(st.integers(0, t.level_size(l) - 1) for l in range(length)))
+
+    L = draw(st.integers(0, 3))
+    params = tuple(
+        tuple(draw(stem(L)) for _ in range(k - 1)) for _ in range(draw(st.integers(1, 3)))
+    )
+    x = draw(st.none() | st.integers(0, 6).flatmap(stem))
+    needed = max(L, m_star(t, len(params)) + 1, len(x or ()))
+    return t, PositiveTypeSpec(params=params, x_stem=x), needed + draw(st.integers(0, 2))
+
+
+class TestScanDepth:
+    @settings(max_examples=300, deadline=None)
+    @given(scan_cases())
+    def test_stopped_scan_matches_full_scan(self, case):
+        # decide_positive_type scans only as deep as x and the stems reach
+        t, spec, depth = case
+        full = _scan_levels(t._level_graphs(depth), spec.params, spec.x_stem or ())
+        assert decide_positive_type(t, spec, depth) == full
 
 
 class TestTransferCheck:

@@ -6,7 +6,9 @@ by definition.  Witness masks come from one completion table, built in
 one pass over the edges when the first mask is needed and kept for the
 level's lifetime.  The extension property is decided exactly, by a search
 for a smallest cover of the vertex set by complements of witness masks,
-within a bound on the nodes it visits.
+within a bound on the nodes it visits.  The search's set-up is kept per
+level and mode (with or without a span) as well, so repeated checks on a
+level pay only for the search.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class Hypergraph:
     implicit.  All operations are pure.
     """
 
-    __slots__ = ("arity", "size", "uniform_edges", "_table", "_mask_cache")
+    __slots__ = ("arity", "size", "uniform_edges", "_table", "_mask_cache", "_cover")
 
     def __init__(self, arity: int, size: int, uniform_edges: Iterable[Iterable[int]] = ()):
         if arity < 2:
@@ -73,6 +75,7 @@ class Hypergraph:
         object.__setattr__(self, "uniform_edges", frozenset(edges))
         object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_mask_cache", {})
+        object.__setattr__(self, "_cover", {})  # cover-search set-up by span is None
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Hypergraph is immutable")
@@ -181,43 +184,52 @@ class Hypergraph:
         trade any other for one containing it); with span, one complement
         per (k-1)-set, taken only while the chosen sets stay within span
         vertices.  Masks come from the completion table and leave the
-        witness_mask memo alone.  Past COVER_SEARCH_NODES examined
-        complements, offered or filtered out, it stops with
-        exhaustive=False."""
+        witness_mask memo alone.  The set-up is kept on the level per mode:
+        the complements by size and the bound on what j of them can cover
+        from the first call, the maximality filter or supports and the
+        per-vertex lists from the first call that gets past that bound.
+        The search, its node count and its result stay per call.  Past
+        COVER_SEARCH_NODES examined complements, offered or filtered out,
+        it stops with exhaustive=False."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         full = (1 << self.size) - 1
         width = self.arity - 1
-        # a tuple with a repeat has the full mask and its permutations the
-        # sorted tuple's, so the (k-1)-sets in order give every mask, each
-        # first at the tuple that gives it first in product order
-        rows: list[tuple[int, tuple[int, ...]]] = []
-        seen: set[int] = set()
-        for tup in combinations(range(self.size), width):
-            m = self._mask(tup)
-            if m != full and (span is not None or m not in seen):
-                seen.add(m)
-                rows.append((m, tup))
-        rows.sort(key=lambda row: row[0].bit_count())  # stable: ties keep that order
-        comps = [full ^ m for m, _ in rows]
-        tuples = [tup for _, tup in rows]
-        # no j complements cover more than reach[j] vertices
-        reach = list(accumulate(map(int.bit_count, comps), initial=0))
-        if reach[min(t, len(comps))] < self.size:
+        setup = self._cover.get(span is None)
+        if setup is None:
+            # a tuple with a repeat has the full mask and its permutations the
+            # sorted tuple's, so the (k-1)-sets in order give every mask, each
+            # first at the tuple that gives it first in product order
+            rows: list[tuple[int, tuple[int, ...]]] = []
+            seen: set[int] = set()
+            for tup in combinations(range(self.size), width):
+                m = self._mask(tup)
+                if m != full and (span is not None or m not in seen):
+                    seen.add(m)
+                    rows.append((m, tup))
+            rows.sort(key=lambda row: row[0].bit_count())  # stable: ties keep that order
+            comps = [full ^ m for m, _ in rows]
+            # no j complements cover more than reach[j] vertices
+            reach = list(accumulate(map(int.bit_count, comps), initial=0))
+            # supports and by_vertex wait for a call that gets past reach
+            setup = self._cover[span is None] = (reach, comps, [tup for _, tup in rows], None, None)
+        reach, sets, tuples, supports, by_vertex = setup
+        if reach[min(t, len(reach) - 1)] < self.size:
             return ExtensionCheck(True, True, proven=t)
-        if span is None:
-            sets: list[int] = []
-            kept = []
-            for c, tup in zip(comps, tuples):
-                if all(c & s != c for s in sets):  # supersets come first
-                    sets.append(c)
-                    kept.append(tup)
-            tuples = kept
-            supports = [0] * len(sets)
-        else:
-            sets = comps
-            supports = [sum(1 << v for v in tup) for tup in tuples]
-        by_vertex = [[i for i, c in enumerate(sets) if c >> v & 1] for v in range(self.size)]
+        if by_vertex is None:  # the first search on this level and mode
+            if span is None:
+                comps, sets, kept = sets, [], []
+                for c, tup in zip(comps, tuples):
+                    if all(c & s != c for s in sets):  # supersets come first
+                        sets.append(c)
+                        kept.append(tup)
+                tuples = kept
+                supports = [0] * len(sets)
+            else:
+                supports = [sum(1 << v for v in tup) for tup in tuples]
+            by_vertex = [[i for i, c in enumerate(sets) if c >> v & 1] for v in range(self.size)]
+            # reach still counts every complement, so it bounds the kept ones too
+            self._cover[span is None] = (reach, sets, tuples, supports, by_vertex)
         if not all(by_vertex):  # a vertex no complement holds: every choice has a witness
             return ExtensionCheck(True, True, proven=t)
         chosen: list[int] = []

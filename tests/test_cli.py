@@ -32,6 +32,17 @@ def random_file(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def sparse_file(tmp_path):
+    # random_file is a complete template, so a shortcut for complete
+    # templates would let its tests pass without deciding anything
+    t = random_template(3, [4, 4], 0.7, [1, 2], seed=3)
+    assert not t.is_complete()
+    p = tmp_path / "sparse.tpl"
+    p.write_text(ser.dump_template(t))
+    return str(p)
+
+
 def write_typespec(tmp_path, spec, arity, name="spec.ts"):
     p = tmp_path / name
     p.write_text(ser.dump_typespec(spec, arity))
@@ -66,10 +77,11 @@ class TestExitCodes:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(["validate-template", str(tmp_path / "absent.tpl")]) == 2
 
-    def test_unwritable_out_exit_2(self, random_file, tmp_path, capsys):
+    def test_unwritable_out_exit_2(self, random_file, sparse_file, tmp_path, capsys):
         out = tmp_path / "absent" / "rep.txt"
-        assert run(["qe-transfer", random_file, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(f"input error: cannot write {out}: ")
+        for path in (random_file, sparse_file):
+            assert run(["qe-transfer", path, "--out", str(out)]) == 2
+            assert capsys.readouterr().err.startswith(f"input error: cannot write {out}: ")
 
     def test_malformed_file_exit_2(self, tmp_path):
         p = tmp_path / "bad.tpl"
@@ -119,13 +131,14 @@ class TestExitCodes:
          "internal error: InternalConsistencyError: declared arity fails\n"),
         (RuntimeError("unforeseen"), "internal error: RuntimeError: unforeseen\n"),
     ])
-    def test_internal_error_exit_4(self, exc, line, random_file, capsys, monkeypatch):
+    def test_internal_error_exit_4(self, exc, line, random_file, sparse_file, capsys, monkeypatch):
         def verb_body(*args, **kwargs):
             raise exc
 
         monkeypatch.setattr(hypertemplate.cli, "transfer_check", verb_body)
-        assert run(["qe-transfer", random_file]) == 4
-        assert capsys.readouterr() == ("", line)
+        for path in (random_file, sparse_file):
+            assert run(["qe-transfer", path]) == 4
+            assert capsys.readouterr() == ("", line)
 
     def test_check_model_bad_leaf_in_edge_exit_1(self, tmp_path, capsys):
         # a leaf outside the tree is a violation of the model, not an input error
@@ -137,9 +150,10 @@ class TestExitCodes:
         assert "violation leaf: element 1 leaf (0, 7) leaves the tree\n" in out
         assert out.endswith("result invalid\n")
 
-    def test_qe_transfer_workers_below_one_exit_2(self, random_file, capsys):
-        assert run(["qe-transfer", random_file, "--m", "2", "--workers", "0"]) == 2
-        assert capsys.readouterr().err == "input error: workers must be >= 1, got 0\n"
+    def test_qe_transfer_workers_below_one_exit_2(self, random_file, sparse_file, capsys):
+        for path in (random_file, sparse_file):
+            assert run(["qe-transfer", path, "--m", "2", "--workers", "0"]) == 2
+            assert capsys.readouterr().err == "input error: workers must be >= 1, got 0\n"
 
 
 def _edit(text, old, new):
@@ -328,10 +342,11 @@ class TestPipelines:
         assert code == 0
         assert run(["check-model", random_file, out]) == 0
 
-    def test_qe_transfer(self, random_file, capsys):
-        assert run(["qe-transfer", random_file, "--m", "2", "--trials", "30"]) == 0
-        out = capsys.readouterr().out
-        assert "exhaustive true\ncounterexamples 0\nresult holds" in out
+    def test_qe_transfer(self, random_file, sparse_file, capsys):
+        for path in (random_file, sparse_file):
+            assert run(["qe-transfer", path, "--m", "2", "--trials", "30"]) == 0
+            out = capsys.readouterr().out
+            assert "exhaustive true\ncounterexamples 0\nresult holds" in out
 
     def test_signature(self, complete_file, tmp_path, capsys):
         spec = PositiveTypeSpec(params=(((0, 1), (0, 0)),))
@@ -386,20 +401,22 @@ class TestPipelines:
 
 
 class TestDeterminism:
-    def test_byte_identical_runs(self, random_file, tmp_path):
+    def test_byte_identical_runs(self, random_file, sparse_file, tmp_path):
         a, b = str(tmp_path / "a.out"), str(tmp_path / "b.out")
-        for out in (a, b):
-            assert run(["qe-transfer", random_file, "--m", "2", "--trials", "25",
-                        "--seed", "9", "--out", out]) == 0
-        assert Path(a).read_bytes() == Path(b).read_bytes()
+        for path in (random_file, sparse_file):
+            for out in (a, b):
+                assert run(["qe-transfer", path, "--m", "2", "--trials", "25",
+                            "--seed", "9", "--out", out]) == 0
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
-    def test_worker_count_invariant(self, random_file, tmp_path):
+    def test_worker_count_invariant(self, random_file, sparse_file, tmp_path):
         a, b = str(tmp_path / "w1.out"), str(tmp_path / "w4.out")
-        assert run(["qe-transfer", random_file, "--m", "2", "--trials", "25",
-                    "--seed", "2", "--workers", "1", "--out", a]) == 0
-        assert run(["qe-transfer", random_file, "--m", "2", "--trials", "25",
-                    "--seed", "2", "--workers", "4", "--out", b]) == 0
-        assert Path(a).read_bytes() == Path(b).read_bytes()
+        for path in (random_file, sparse_file):
+            assert run(["qe-transfer", path, "--m", "2", "--trials", "25",
+                        "--seed", "2", "--workers", "1", "--out", a]) == 0
+            assert run(["qe-transfer", path, "--m", "2", "--trials", "25",
+                        "--seed", "2", "--workers", "4", "--out", b]) == 0
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_gen_template_deterministic(self, tmp_path):
         outs = []

@@ -98,10 +98,12 @@ class TestWitnessMask:
             assert [h.witness_mask(tup) for tup in tuples] == scans
 
 
-def extension_digest() -> tuple[str, int]:
+def extension_digest(warm: bool = False) -> tuple[str, int]:
     """SHA-256 over (holds, exhaustive, counterexample, proven) of checks
     at t = 1..5, with and without span, on seeded random levels, some with
-    a partly filled mask memo, and how many of the checks failed."""
+    a partly filled mask memo, and how many of the checks failed.  With
+    warm, each level first runs the same checks from t = 5 down, so every
+    recorded check reads a kept set-up."""
     digest = hashlib.sha256()
     failed = 0
     for i in range(300):
@@ -112,6 +114,10 @@ def extension_digest() -> tuple[str, int]:
             for tup in itertools.product(range(h.size), repeat=k - 1):
                 if rng.random() < 0.3:
                     h.witness_mask(tup)
+        if warm:
+            for t in range(5, 0, -1):
+                for span in (None, 2 * (k - 1)):
+                    h.check_extension_property(t, span)
         for t in range(1, 6):
             for span in (None, 2 * (k - 1)):
                 chk = h.check_extension_property(t, span)
@@ -124,15 +130,18 @@ def extension_digest() -> tuple[str, int]:
 def test_extension_checks_pinned():
     # fixed at an earlier revision: a changed verdict or counterexample must be deliberate
     assert extension_digest() == (EXTENSION_DIGEST, EXTENSION_FAILED)
+    assert extension_digest(warm=True) == (EXTENSION_DIGEST, EXTENSION_FAILED)
 
 
 def test_check_leaves_no_reference_cycle():
-    # the cover search's recursive closure must not outlive the check
+    # the cover search's recursive closure must not outlive the check, on a
+    # cold level or on one that keeps its set-up
     gc.collect()
     gc.disable()
     try:
         for i in range(20):
-            random_hypergraph(3, 8, 0.8, Random(i)).check_extension_property(3)
+            h = random_hypergraph(3, 8, 0.8, Random(i))
+            assert h.check_extension_property(3) == h.check_extension_property(3)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -269,6 +278,44 @@ class TestExtensionProperty:
         assert chk.proven == 1
 
     @given(
+        st.integers(2, 4),
+        st.integers(1, 8),
+        st.sampled_from([0.3, 0.6, 0.85, 1.0]),
+        st.integers(0, 2**31),
+        st.lists(st.tuples(st.integers(1, 6), st.integers(-1, 3)), min_size=1, max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_warm_level_answers_like_cold(self, arity, size, p, seed, calls):
+        h = random_hypergraph(arity, size, p, Random(seed))
+        width = arity - 1
+
+        def mode(offset):  # no span, or a span in k-1..2(k-1)
+            return None if offset < 0 else width + min(offset, width)
+
+        def same_as_cold(t, span):
+            chk = h.check_extension_property(t, span)
+            assert chk == Hypergraph(arity, size, h.uniform_edges).check_extension_property(t, span)
+            return chk
+
+        # a witness mask holds its own tuple's vertices, so no one complement
+        # covers and t = 1 ends at the reach bound: each mode's set-up is
+        # begun before the first call that searches completes it
+        for span in (None, mode(calls[0][1])):
+            same_as_cold(1, span)
+            assert h._cover[span is None][-1] is None
+        for t, offset in calls:
+            same_as_cold(t, mode(offset))
+        # a stop on a warm level is not kept: the next call searches in full
+        t, span = calls[-1][0], mode(calls[-1][1])
+        bound = hypergraph.COVER_SEARCH_NODES
+        hypergraph.COVER_SEARCH_NODES = 0
+        try:
+            same_as_cold(t, span)
+        finally:
+            hypergraph.COVER_SEARCH_NODES = bound
+        assert same_as_cold(t, span).exhaustive
+
+    @given(
         st.sampled_from([(2, 6), (3, 5), (3, 6), (4, 5)]),
         st.sampled_from([0.3, 0.6, 0.85]),
         st.integers(0, 2**31),
@@ -310,6 +357,8 @@ class TestConstruction:
         h = Hypergraph(3, 4)
         with pytest.raises(AttributeError):
             h.size = 5
+        with pytest.raises(AttributeError):
+            h._cover = {}
 
     def test_random_reproducible(self):
         a = random_hypergraph(3, 5, 0.5, Random(9))
@@ -321,3 +370,14 @@ class TestConstruction:
 
         h = small_random(3)
         assert pickle.loads(pickle.dumps(h)) == h
+
+    def test_warm_level_pickles_to_an_equal_level(self):
+        import pickle
+
+        h = random_hypergraph(3, 7, 0.8, Random(4))
+        checks = [(t, span) for t in range(1, 6) for span in (None, 4)]
+        first = [h.check_extension_property(t, span) for t, span in checks]
+        assert all(setup[-1] is not None for setup in h._cover.values())  # both modes searched
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and hash(copy) == hash(h)
+        assert [copy.check_extension_property(t, span) for t, span in checks] == first

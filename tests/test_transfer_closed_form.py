@@ -28,6 +28,7 @@ from hypertemplate import (
     random_hypergraph,
     random_template,
     transfer_check,
+    validate,
 )
 
 SIZES = {2: 5, 3: 4, 4: 4}
@@ -145,6 +146,23 @@ def test_reports_pinned():
     assert sum(len(rep.counterexamples) for rep in reps) == PINNED_COUNTEREXAMPLES
     text = "\n\n".join(canonical(rep) for rep in reps)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
+
+
+def cold_copy(t: Template) -> Template:
+    """The same template on fresh levels, which keep no cover-search set-up."""
+    levels = [(Hypergraph(h.arity, h.size, h.uniform_edges), f) for h, f in t.levels]
+    return Template(t.arity, levels, t.tail)
+
+
+def test_warm_grid_matches_cold():
+    # validate keeps each level's cover-search set-up without span and
+    # transfer_check the one with span: a rerun on the warm levels, and the
+    # same call on fresh ones, must give the same report
+    for name, t, m in GRID:
+        assert validate(t, t.prefix_len) == validate(cold_copy(t), t.prefix_len)
+        rep = transfer_check(t, m, TRIALS, len(name))
+        assert transfer_check(t, m, TRIALS, len(name)) == rep
+        assert transfer_check(cold_copy(t), m, TRIALS, len(name)) == rep
 
 
 def test_unproven_extension_property_settles_no_trial(monkeypatch):

@@ -17,7 +17,7 @@ from math import isinf
 from pathlib import Path
 
 from . import serialization as ser
-from .errors import GenerationError, InputError
+from .errors import GenerationError, InputError, InternalConsistencyError
 from .oracle import brute_force_positive_type
 from .satsim import Distribution, build_distribution, verify_realization
 from .signature import (
@@ -311,7 +311,7 @@ def cmd_oracle(args) -> int:
     ]
     _emit(args, _report("oracle", args.seed, pairs))
     if not agree:
-        return NEGATIVE
+        raise InternalConsistencyError("decide-type and the brute-force oracle disagree")
     return OK if dec.consistent else NEGATIVE
 
 
@@ -331,10 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, out=True):
+    def common(sp):
         sp.add_argument("--seed", type=int, default=0)
-        if out:
-            sp.add_argument("--out", default=None)
+        sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("gen-template", help="generate a template file")
     sp.add_argument("--arity", type=int, required=True)

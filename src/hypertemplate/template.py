@@ -167,7 +167,7 @@ class Template:
 @dataclass(frozen=True)
 class LevelProblem:
     level: int
-    condition: str  # "representation" | "arity_bound" | "extension"
+    condition: str  # "extension"
     message: str
 
 
@@ -183,19 +183,17 @@ class ValidationReport:
 
 
 def validate(t: Template, depth: int) -> ValidationReport:
-    """Check levels n < depth: f(n) <= H_n and the extension property at
-    t = f(n).  Tail levels are accepted analytically (complete hypergraphs
-    satisfy extension for every t <= H_n).  First problem per level.
-    ``exhaustive`` is False when the node bound stopped a level's check."""
+    """Check the extension property at t = f(n) on levels n < depth; the
+    constructor already holds f(n) to 1..H_n.  Tail levels are accepted
+    analytically (complete hypergraphs satisfy extension for every
+    t <= H_n).  First problem per level.  ``exhaustive`` is False when the
+    node bound stopped a level's check."""
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     problems = []
     exhaustive = True
     for n in range(min(depth, len(t.levels))):
         h, f = t.levels[n]
-        if f > h.size or f < 1:
-            problems.append(LevelProblem(n, "arity_bound", f"f({n}) = {f} outside 1..{h.size}"))
-            continue
         chk = h.check_extension_property(f)
         exhaustive = exhaustive and chk.exhaustive
         if not chk.holds:

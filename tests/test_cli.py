@@ -370,6 +370,18 @@ class TestPipelines:
         assert code in (0, 1)
         assert "result agree" in capsys.readouterr().out
 
+    def test_oracle_disagreement_exit_4(self, sparse_file, tmp_path, capsys, monkeypatch):
+        # a disagreement is a violated guarantee, not an inconsistent type
+        spec = PositiveTypeSpec(params=(((0, 1), (1, 0)),))
+        ts = write_typespec(tmp_path, spec, 3)
+        real = hypertemplate.cli.brute_force_positive_type
+        flipped = lambda t, spec, depth: (not real(t, spec, depth)[0], None)
+        monkeypatch.setattr(hypertemplate.cli, "brute_force_positive_type", flipped)
+        assert run(["oracle", sparse_file, ts]) == 4
+        out, err = capsys.readouterr()
+        assert "result disagree" in out
+        assert err == "internal error: InternalConsistencyError: decide-type and the brute-force oracle disagree\n"
+
     def test_close_model(self, tmp_path, capsys):
         from hypertemplate.hypergraph import complete_hypergraph
         from hypertemplate.template import TailPolicy, Template

@@ -170,6 +170,33 @@ class Hypergraph:
                 return None
         return (mask & -mask).bit_length() - 1
 
+    def _reach_proves(self, t: int, span: Optional[int] = None) -> bool:
+        """True when no t complements of witness masks cover the vertex set,
+        so every t (k-1)-tuples have a common witness; always on a complete
+        level.  Reads the reach bound of the kept cover-search set-up for
+        the mode, building the set-up's first part on the first call."""
+        setup = self._cover.get(span is None)
+        if setup is None:
+            full = (1 << self.size) - 1
+            # a tuple with a repeat has the full mask and its permutations the
+            # sorted tuple's, so the (k-1)-sets in order give every mask, each
+            # first at the tuple that gives it first in product order
+            rows: list[tuple[int, tuple[int, ...]]] = []
+            seen: set[int] = set()
+            for tup in combinations(range(self.size), self.arity - 1):
+                m = self._mask(tup)
+                if m != full and (span is not None or m not in seen):
+                    seen.add(m)
+                    rows.append((m, tup))
+            rows.sort(key=lambda row: row[0].bit_count())  # stable: ties keep that order
+            comps = [full ^ m for m, _ in rows]
+            # no j complements cover more than reach[j] vertices
+            reach = list(accumulate(map(int.bit_count, comps), initial=0))
+            # supports and by_vertex wait for a call that gets past reach
+            setup = self._cover[span is None] = (reach, comps, [tup for _, tup in rows], None, None)
+        reach = setup[0]
+        return reach[min(t, len(reach) - 1)] < self.size
+
     def check_extension_property(self, t: int, span: Optional[int] = None) -> ExtensionCheck:
         """Check that every choice of t (k-1)-tuples has a common witness;
         with span, only choices whose tuples hold at most span distinct
@@ -186,36 +213,19 @@ class Hypergraph:
         vertices.  Masks come from the completion table and leave the
         witness_mask memo alone.  The set-up is kept on the level per mode:
         the complements by size and the bound on what j of them can cover
-        from the first call, the maximality filter or supports and the
+        from the first call (through _reach_proves, which tests that bound
+        first), the maximality filter or supports and the
         per-vertex lists from the first call that gets past that bound.
         The search, its node count and its result stay per call.  Past
         COVER_SEARCH_NODES examined complements, offered or filtered out,
         it stops with exhaustive=False."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
+        if self._reach_proves(t, span):
+            return ExtensionCheck(True, True, proven=t)
         full = (1 << self.size) - 1
         width = self.arity - 1
-        setup = self._cover.get(span is None)
-        if setup is None:
-            # a tuple with a repeat has the full mask and its permutations the
-            # sorted tuple's, so the (k-1)-sets in order give every mask, each
-            # first at the tuple that gives it first in product order
-            rows: list[tuple[int, tuple[int, ...]]] = []
-            seen: set[int] = set()
-            for tup in combinations(range(self.size), width):
-                m = self._mask(tup)
-                if m != full and (span is not None or m not in seen):
-                    seen.add(m)
-                    rows.append((m, tup))
-            rows.sort(key=lambda row: row[0].bit_count())  # stable: ties keep that order
-            comps = [full ^ m for m, _ in rows]
-            # no j complements cover more than reach[j] vertices
-            reach = list(accumulate(map(int.bit_count, comps), initial=0))
-            # supports and by_vertex wait for a call that gets past reach
-            setup = self._cover[span is None] = (reach, comps, [tup for _, tup in rows], None, None)
-        reach, sets, tuples, supports, by_vertex = setup
-        if reach[min(t, len(reach) - 1)] < self.size:
-            return ExtensionCheck(True, True, proven=t)
+        reach, sets, tuples, supports, by_vertex = self._cover[span is None]
         if by_vertex is None:  # the first search on this level and mode
             if span is None:
                 comps, sets, kept = sets, [], []

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import accumulate, product
 from math import inf, prod
 from random import Random
 from typing import Optional, Sequence, Union
@@ -271,19 +271,36 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
     none is only "holds up to budget", except on templates where every
     family is consistent (complete everywhere) or where n already pins
     types past the stabilization level, which are proved analytically.
-    Sampled stems are in-tree and discrete: the level scan decides them."""
+    Sampled stems are in-tree and discrete: the level scan decides them,
+    on the stem levels whose reach bound does not prove that any s tuples
+    share a witness (Hypergraph._reach_proves), since only there can a
+    family fail.  The second family repeats the first's tuples below the
+    coverage level of n, so it is scanned only on those levels from there
+    on.  When none is left no second family can fail, so the test returns
+    without drawing; families_tried is then the whole budget, as the
+    sampled search would have ended there too."""
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
     analytic = t.is_complete() or analytic_f_bound(t, s) <= n
-    sizes = [t.level_size(l) for l in range(budget.stem_depth)]
     graphs = t._level_graphs(budget.stem_depth)  # past the stems 0 is a witness
-    lc = coverage_level(t, n)
+    lc = coverage_level(t, n)  # 0 when n = 0, where the second family is drawn afresh
+    open_a = [l for l, h in enumerate(graphs) if not h._reach_proves(s)]
+    open_b = [l for l in open_a if l >= lc]
+    if not open_b:
+        return OplusResult(s, n, True, None, budget.families, analytic=analytic)
+    graphs_a, graphs_b = ([graphs[l] for l in levels] for levels in (open_a, open_b))
+
+    def consistent(fam, levels, hs):  # the level scan on these levels only
+        rows = [[tuple(map(stem.__getitem__, levels)) for stem in stems] for stems in fam]
+        return _scan_levels(hs, rows).consistent
+
+    sizes = [t.level_size(l) for l in range(budget.stem_depth)]
     rng = Random(budget.seed)
     tried = 0
     for _ in range(budget.families):
         tried += 1
         fam_a = tuple(_sample_stems(sizes, t.arity - 1, rng) for _ in range(s))
-        if not _scan_levels(graphs, fam_a).consistent:
+        if not consistent(fam_a, open_a, graphs_a):
             continue
         fam_b = []
         for stems in fam_a:
@@ -293,7 +310,7 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
             fam_b.append(match)
         if len(fam_b) != s:
             continue
-        if not _scan_levels(graphs, fam_b).consistent:
+        if not consistent(fam_b, open_b, graphs_b):
             fam_a, fam_b = (tuple(ParamType(stems=st) for st in fam) for fam in (fam_a, fam_b))
             return OplusResult(s, n, False, OplusCounterexample(fam_a, fam_b, n), tried)
     return OplusResult(s, n, True, None, tried, analytic=analytic)
@@ -378,4 +395,17 @@ def analytic_g_table(t: Template, n_max: int) -> list[Union[int, float]]:
     templates.  Sound: these counts are guaranteed, never optimistic."""
     if t.is_complete():
         return [INFINITE] * (n_max + 1)
-    return [analytic_g_lower(t, n) for n in range(n_max + 1)]
+    # analytic_g_lower in one pass: the coverage level L of n rises by one
+    # each time n - 1 reaches count = predicate_count(t, L + 1), and the
+    # answer is the least f from level L on (from the prefix on, past it)
+    p = t.prefix_len
+    lows = list(accumulate((t.f_value(l) for l in range(p, -1, -1)), min))[::-1]
+    out, L, width = [], 0, t.level_size(0)
+    count = width
+    for n in range(n_max + 1):
+        while count < n:
+            L += 1
+            width *= t.level_size(L)
+            count += width
+        out.append(lows[min(L, p)])
+    return out

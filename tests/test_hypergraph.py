@@ -341,6 +341,28 @@ class TestExtensionProperty:
                     assert len({v for tup in chk.counterexample for v in tup}) <= span
                     assert naive_extension_witness(h, chk.counterexample) is None
 
+    @given(
+        st.integers(2, 3),
+        st.integers(1, 6),
+        st.sampled_from([0.3, 0.6, 0.85, 0.95]),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reach_bound_is_sound(self, k, size, p, seed):
+        h = random_hypergraph(k, size, p, Random(seed))
+        tuples = list(itertools.product(range(size), repeat=k - 1))
+        for t in (1, 2, 3):
+            if h._reach_proves(t):
+                # every choice of t tuples, up to order and repeats
+                choices = itertools.combinations_with_replacement(tuples, t)
+                assert all(naive_extension_witness(h, c) is not None for c in choices)
+                assert h.check_extension_property(t) == hypergraph.ExtensionCheck(True, True, None, t)
+
+    def test_reach_bound_proves_complete_levels(self):
+        for k, size in ((2, 1), (2, 5), (3, 2), (3, 6), (4, 5)):
+            h = complete_hypergraph(k, size)
+            assert all(h._reach_proves(t) for t in (1, 2, 7, 100))
+
     def test_t_zero_rejected(self):
         with pytest.raises(InputError):
             Hypergraph(3, 4).check_extension_property(0)

@@ -32,7 +32,7 @@ from .signature import (
 )
 from .template import complete_template, random_template, validate
 from .theory import amalgamate, build_random_model, check_model, close_existentially
-from .typecheck import decide_positive_type, m_star, transfer_check
+from .typecheck import decide_positive_type, transfer_check
 
 OK, NEGATIVE, INPUT_ERROR, INDETERMINATE, INTERNAL = 0, 1, 2, 3, 4
 
@@ -108,7 +108,7 @@ def _template_and_typespec(args):
 
 def _type_depth(args, t, spec) -> int:
     """--depth, else deep enough for the stems and for m* of the parameters."""
-    return args.depth or max(spec.common_length(), m_star(t, max(1, len(spec.params))) + 1)
+    return args.depth or max(spec.common_length(), t.stabilization_level(max(1, len(spec.params))) + 1)
 
 
 def cmd_decide_type(args) -> int:

@@ -23,7 +23,6 @@ from .typecheck import (
     QfFormulaSpec,
     TransferCounterexample,
     TransferReport,
-    m_star,
 )
 
 
@@ -144,7 +143,7 @@ def naive_transfer_check(t: Template, m: int, trials: int, seed: int) -> Transfe
     transfer_check fails; finding none proves nothing."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    ms = m_star(t, m)
+    ms = t.stabilization_level(m)
     if t.prefix_len < ms + 1:
         raise PreconditionError(
             f"prefix depth {t.prefix_len} below stabilization level {ms} + 1"

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 from .errors import InputError
 from .template import Template
 from .tree import Stem
-from .typecheck import PositiveTypeSpec, decide_positive_type, m_star
+from .typecheck import PositiveTypeSpec, decide_positive_type
 from .signature import ParamType, f_signature
 
 Capacity = Union[int, float]
@@ -67,8 +67,7 @@ def validate_scenario(sc: Scenario) -> None:
         raise InputError("limit stems must reach every index depth")
     if sc.instances:
         spec = PositiveTypeSpec(params=tuple(i.limit.stems for i in sc.instances))
-        depth = max(lim_len, m_star(t, len(sc.instances)) + 1)
-        if not decide_positive_type(t, spec, depth).consistent:
+        if not decide_positive_type(t, spec).consistent:
             raise InputError("the limit family is not consistent")
 
 
@@ -202,8 +201,7 @@ def verify_realization(sc: Scenario, dist: Distribution) -> RealizationReport:
             outcomes.append(IndexOutcome(ti, (), True, None, None))
             continue
         params = tuple(sc.instances[a].per_index[ti].stems for a in mem)
-        depth = max(sc.depths[ti], m_star(t, len(mem)) + 1)
-        dec = decide_positive_type(t, PositiveTypeSpec(params=params), depth)
+        dec = decide_positive_type(t, PositiveTypeSpec(params=params))
         outcomes.append(
             IndexOutcome(ti, mem, dec.consistent, dec.witness, dec.failing_level)
         )

@@ -5,8 +5,8 @@ order), so identical objects serialize to identical bytes.  Readers load
 every dump back to an equal object but accept more than writers produce:
 blank lines, any line break ``str.splitlines`` knows (``\\r\\n`` too), any
 whitespace around the words of a line other than the header, and any
-integer ``int`` reads (``+2``, ``02``, ``0_2``, non-ASCII digits) except a
-level line's own number.  The dump of such input differs from it.
+integer ``int`` reads (``+2``, ``02``, ``0_2``, non-ASCII digits).  The
+dump of such input differs from it.
 """
 
 from __future__ import annotations
@@ -20,12 +20,11 @@ from .signature import ParamType
 from .template import TailPolicy, Template
 from .theory import FiniteModel
 from .tree import Stem
-from .typecheck import PositiveTypeSpec, QfFormulaSpec
+from .typecheck import PositiveTypeSpec
 
 TEMPLATE_HEADER = "hgt-template 1"
 MODEL_HEADER = "hgt-model 1"
 TYPESPEC_HEADER = "hgt-typespec 1"
-QFSPEC_HEADER = "hgt-qfspec 1"
 SCENARIO_HEADER = "hgt-scenario 1"
 
 
@@ -116,7 +115,10 @@ def load_template(text: str) -> Template:
     levels = []
     for n in range(prefix):
         parts = ln.expect("level")
-        if len(parts) != 5 or parts[0] != str(n) or parts[1] != "size" or parts[3] != "f":
+        try:
+            if len(parts) != 5 or parts[1::2] != ["size", "f"] or int(parts[0]) != n:
+                raise ValueError
+        except ValueError:
             raise InputError(f"template: malformed level line for level {n}")
         size, f = _ints([parts[2], parts[4]], "template level line")
         edges = ln.block("edges", "template edge count", "e", "template edge")
@@ -175,32 +177,6 @@ def load_typespec(text: str) -> tuple[PositiveTypeSpec, int]:
         params.append(tuple(tuple(ln.ints("s", "typespec stem")) for _ in range(arity - 1)))
     ln.done()
     return PositiveTypeSpec(params=tuple(params), x_stem=x_stem), arity
-
-
-# -- qf formula specs ------------------------------------------------------
-
-
-def dump_qfspec(spec: QfFormulaSpec, arity: int) -> str:
-    out = [QFSPEC_HEADER, f"arity {arity}", f"m {len(spec.x_leaf)}"]
-    out.append(_line("xleaf", spec.x_leaf).rstrip())
-    out.append(f"params {len(spec.param_leaves)}")
-    out.extend(_line(f"p {i}", s).rstrip() for i, s in enumerate(spec.param_leaves))
-    out.append(_line("eq", spec.equality))
-    _block(out, "C", "c", sorted(spec.positive))
-    return "\n".join(out) + "\n"
-
-
-def load_qfspec(text: str) -> tuple[QfFormulaSpec, int]:
-    ln = _Lines(text, "qfspec", QFSPEC_HEADER)
-    arity = ln.int("arity", "qfspec arity")
-    m = ln.int("m", "qfspec m")
-    x_leaf = tuple(ln.ints("xleaf", "qfspec xleaf"))
-    count = ln.int("params", "qfspec param count")
-    leaves = tuple(ln.indexed("p", i, m, "qfspec param") for i in range(count))
-    eq = tuple(ln.ints("eq", "qfspec equality"))
-    positive = ln.block("C", "qfspec positive count", "c", "qfspec positive edge")
-    ln.done()
-    return QfFormulaSpec(x_leaf, leaves, frozenset(map(tuple, positive)), eq), arity
 
 
 # -- scenarios -------------------------------------------------------------

@@ -20,14 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, product
-from math import inf, prod
+from math import inf
 from random import Random
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
 from .template import Template
 from .tree import Stem, _scan_levels, require_in_tree
-from .typecheck import PositiveTypeSpec, decide_positive_type, m_star
+from .typecheck import PositiveTypeSpec, decide_positive_type
 
 # -- canonical enumerations ------------------------------------------------
 
@@ -230,9 +230,8 @@ def family_consistent(t: Template, family: Family) -> bool:
     fall outside the admissible set and the family is rejected."""
     if any(len(set(pt.equality)) < len(pt.equality) for pt in family):
         return False
-    length = max((pt.stem_length for pt in family), default=1)
     spec = PositiveTypeSpec(params=tuple(pt.stems for pt in family))
-    return decide_positive_type(t, spec, max(length, m_star(t, max(1, len(family))) + 1)).consistent
+    return decide_positive_type(t, spec).consistent
 
 
 def _sample_stems(sizes: Sequence[int], variables: int, rng: Random) -> tuple[Stem, ...]:
@@ -240,17 +239,16 @@ def _sample_stems(sizes: Sequence[int], variables: int, rng: Random) -> tuple[St
 
 
 def _sample_matching(
-    base: tuple[Stem, ...], n: int, sizes: Sequence[int], lc: int, rng: Random, tries: int
+    base: tuple[Stem, ...], first: int, sizes: Sequence[int], lc: int, rng: Random, tries: int
 ) -> Optional[tuple[Stem, ...]]:
-    """Stems agreeing with base's on signature indices < n, random beyond.
-    They keep base's first lc (the coverage level of n) entries, so only
-    the predicates of length lc + 1 can differ: each stem must sit under
-    base's there, or under one of index >= n where base's index is >= n."""
-    if n <= 0:
-        return _sample_stems(sizes, len(base), rng)
+    """Stems agreeing with base's on signature indices < n, random beyond,
+    where first is the least level-lc rank of an index >= n.  They keep
+    base's first lc (the coverage level of n) entries, so only the
+    predicates of length lc + 1 can differ: each stem must sit under base's
+    there, or under one of index >= n where base's index is >= n.  When
+    n <= 0, lc is 0 and first < 0, so every stem is drawn afresh."""
     if lc >= len(sizes):
         return base  # nothing is left to draw
-    first = n - 1 - sum(prod(sizes[: l + 1]) for l in range(lc))  # least level-lc rank of index >= n
     window = []  # per stem, the vertices it may take at level lc
     for s in base:
         start = first - reduce(lambda r, l: r * sizes[l] + s[l], range(lc), 0) * sizes[lc]
@@ -295,6 +293,7 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
         return _scan_levels(hs, rows).consistent
 
     sizes = [t.level_size(l) for l in range(budget.stem_depth)]
+    first = n - 1 - predicate_count(t, lc)  # the least level-lc rank of an index >= n
     rng = Random(budget.seed)
     tried = 0
     for _ in range(budget.families):
@@ -304,7 +303,7 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
             continue
         fam_b = []
         for stems in fam_a:
-            match = _sample_matching(stems, n, sizes, lc, rng, budget.resamples)
+            match = _sample_matching(stems, first, sizes, lc, rng, budget.resamples)
             if match is None:
                 break
             fam_b.append(match)
@@ -334,7 +333,7 @@ class FEstimate:
 def analytic_f_bound(t: Template, s: int) -> int:
     """Signature indices through the stabilization level for s instances
     suffice for agreement to preserve consistency."""
-    return predicate_count(t, m_star(t, s)) + 1
+    return predicate_count(t, t.stabilization_level(s)) + 1
 
 
 def F_estimate(t: Template, s: int, budget: SearchBudget) -> FEstimate:

@@ -28,11 +28,6 @@ from .template import Template
 from .tree import Stem, TypeDecision, _scan_levels, require_in_tree
 
 
-def m_star(t: Template, count: int) -> int:
-    """Least level from which the template's extension arities stay >= count."""
-    return t.stabilization_level(count)
-
-
 # -- positive R-types ------------------------------------------------------
 
 
@@ -68,20 +63,25 @@ def _validated_params(t: Template, spec: PositiveTypeSpec) -> list[list[Stem]]:
     return rows
 
 
-def decide_positive_type(t: Template, spec: PositiveTypeSpec, check_depth: int) -> TypeDecision:
+def decide_positive_type(
+    t: Template, spec: PositiveTypeSpec, check_depth: Optional[int] = None
+) -> TypeDecision:
     """Decide whether {R(x, rho^i) : i < t} plus the x-stem constraint is
     consistent with the template's full theory.
 
     Levels are independent: consistent iff each level below check_depth has
     a witness vertex forming an edge with every parameter tuple there.
     Past check_depth the declared arities guarantee witnesses, because
-    check_depth must exceed the stabilization level for t constraints.
-    Below it the scan stops where x and the stems end, since past them
-    vertex 0 is always a witness.  Returns the canonical least-per-level
-    witness stem, padded with 0 to check_depth, when consistent.
+    check_depth must exceed the stabilization level for t constraints; it
+    defaults to the least sound depth, the larger of that level + 1 and the
+    stems' common length.  Below it the scan stops where x and the stems
+    end, since past them vertex 0 is always a witness.  Returns the
+    canonical least-per-level witness stem, padded with 0 to check_depth,
+    when consistent.
     """
     rows = _validated_params(t, spec)
-    needed = max(spec.common_length(), m_star(t, max(1, len(rows))) + 1)
+    needed = max(spec.common_length(), t.stabilization_level(max(1, len(rows))) + 1)
+    check_depth = needed if check_depth is None else check_depth
     if check_depth < needed:
         raise InputError(f"check_depth {check_depth} below required bound {needed}")
     x = ()
@@ -230,7 +230,7 @@ def transfer_check(
         raise InputError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")
-    ms = m_star(t, m)
+    ms = t.stabilization_level(m)
     if t.prefix_len < ms + 1:
         raise PreconditionError(
             f"prefix depth {t.prefix_len} below stabilization level {ms} + 1"

@@ -11,7 +11,7 @@ from math import comb, inf
 from pathlib import Path
 from random import Random
 
-from hypertemplate import serialization as ser
+from hypertemplate import m_star, serialization as ser
 from hypertemplate.cli import run
 from hypertemplate.hypergraph import Hypergraph
 from hypertemplate.oracle import brute_force_positive_type
@@ -43,12 +43,7 @@ from hypertemplate.template import (
 )
 from hypertemplate.theory import build_random_model, amalgamate, check_model
 from hypertemplate.tree import complete_to_leaf, einfty_prefix
-from hypertemplate.typecheck import (
-    PositiveTypeSpec,
-    decide_positive_type,
-    m_star,
-    transfer_check,
-)
+from hypertemplate.typecheck import PositiveTypeSpec, decide_positive_type, transfer_check
 from test_transfer_closed_form import smallest_family
 
 
@@ -429,14 +424,6 @@ def test_criterion_7_determinism_and_formats(tmp_path):
     if ser.load_typespec(ser.dump_typespec(spec, 3)) != (spec, 3):
         ok = False
         notes.append("typespec round-trip")
-    from hypertemplate.typecheck import QfFormulaSpec
-
-    qf = QfFormulaSpec(
-        x_leaf=(0, 0), param_leaves=((0, 1), (1, 0)), positive=frozenset({(0, 1)})
-    )
-    if ser.load_qfspec(ser.dump_qfspec(qf, 3)) != (qf, 3):
-        ok = False
-        notes.append("qfspec round-trip")
     t2 = complete_template(2, 3)
     sc = Scenario(
         template=t2,
@@ -455,6 +442,6 @@ def test_criterion_7_determinism_and_formats(tmp_path):
     report(
         "criterion 7",
         ok,
-        "byte-identical repeat runs, workers 1 == 4, all five formats"
+        "byte-identical repeat runs, workers 1 == 4, all four formats"
         " round-trip" + ("" if ok else "; " + "; ".join(notes)),
     )

@@ -25,6 +25,7 @@ from hypertemplate.signature import (
     analytic_g_table,
     coverage_level,
     oplus_test,
+    predicate_count,
 )
 from hypertemplate.template import TailPolicy, Template
 from hypertemplate.tree import _scan_levels
@@ -48,7 +49,8 @@ def reference_oplus_test(t, s, n, budget):
             continue
         fam_b = []
         for stems in fam_a:
-            match = _sample_matching(stems, n, sizes, lc, rng, budget.resamples)
+            first = n - 1 - predicate_count(t, lc)  # least level-lc rank of index >= n
+            match = _sample_matching(stems, first, sizes, lc, rng, budget.resamples)
             if match is None:
                 break
             fam_b.append(match)

@@ -23,7 +23,7 @@ from hypertemplate.signature import (
     predicate_count,
     predicate_enumeration,
 )
-from hypertemplate.typecheck import m_star
+from hypertemplate import m_star
 
 
 def bottleneck_template():

@@ -29,7 +29,8 @@ from hypertemplate.signature import (
 )
 from hypertemplate.template import TailPolicy, Template, random_template
 from hypertemplate.tree import _scan_levels
-from hypertemplate.typecheck import PositiveTypeSpec, decide_positive_type, m_star
+from hypertemplate import m_star
+from hypertemplate.typecheck import PositiveTypeSpec, decide_positive_type
 
 
 @st.composite
@@ -148,15 +149,18 @@ class TestAgreementShortcuts:
         assert dec.consistent == family_consistent(t, tuple(ParamType(stems=st) for st in family))
         spec = PositiveTypeSpec(params=family)
         assert dec == decide_positive_type(t, spec, depth)
+        assert decide_positive_type(t, spec) == dec  # the default depth is that least one
         if prod(t.level_size(l) for l in range(depth)) <= 500:
             assert (dec.consistent, dec.witness) == brute_force_positive_type(t, spec, depth)
 
     @settings(max_examples=500, deadline=None)
     @given(matching_cases())
     def test_one_level_match_equals_prefix_match(self, case):
-        *args, tries, seed = case
+        base, n, sizes, lc, tries, seed = case
+        first = n - 1 - sum(prod(sizes[: l + 1]) for l in range(lc))  # least level-lc rank of index >= n
         rng, ref_rng = Random(seed), Random(seed)
-        assert _sample_matching(*args, rng, tries) == _prefix_matching(*args, ref_rng, tries)
+        match = _sample_matching(base, first, sizes, lc, rng, tries)
+        assert match == _prefix_matching(base, n, sizes, lc, ref_rng, tries)
         assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
 
 

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertemplate import m_star
 from hypertemplate.errors import InputError, PreconditionError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
 from hypertemplate.oracle import brute_force_positive_type
@@ -20,7 +21,6 @@ from hypertemplate.typecheck import (
     QfFormulaSpec,
     decide_positive_type,
     decide_qf_formula,
-    m_star,
     transfer_check,
 )
 from hypertemplate.tree import _scan_levels

@@ -13,7 +13,6 @@ from hypertemplate import (
     corrupt_level,
     decide_positive_type,
     decide_qf_formula,
-    m_star,
     random_template,
     transfer_check,
 )
@@ -28,13 +27,15 @@ spec = PositiveTypeSpec(params=(((0,), (1,)),))
 dec = decide_positive_type(t, spec, check_depth=2)
 print("single constraint:", dec)
 
-# Two constraints on four distinct vertices clash at level 0.
+# Two constraints on four distinct vertices clash at level 0.  With no
+# depth given the procedure checks down to the least sound one.
 clash = PositiveTypeSpec(params=(((0,), (1,)), ((2,), (3,))))
-dec = decide_positive_type(t, clash, check_depth=m_star(t, 2) + 1)
+dec = decide_positive_type(t, clash)
 print("disjoint pair:", dec)
 
-# The level-wise procedure agrees with brute-force stem enumeration.
-print("oracle agrees:", brute_force_positive_type(t, clash, m_star(t, 2) + 1))
+# The level-wise procedure agrees with brute-force stem enumeration at the
+# depth the decision was made at.
+print("oracle agrees:", brute_force_positive_type(t, clash, dec.depth))
 print()
 
 # Complete quantifier-free formulas: demanded edges must survive every
@@ -53,14 +54,13 @@ print()
 # there: on a valid template the search finds no witness-free family and so
 # proves it; corrupt the stabilization level and the search returns a
 # smallest failing formula.
-# (trials and seed are validated but no longer change the answer.)
 r = random_template(3, [4, 4, 4], 0.85, [1, 2, 2], seed=5)
-rep = transfer_check(r, m=2, trials=300, seed=0)
+rep = transfer_check(r, m=2)
 print(f"valid template: holds {rep.holds}, exhaustive {rep.exhaustive}"
       f" (m* = {rep.m_star})")
 
 broken = corrupt_level(r, rep.m_star, keep_fraction=0.0)
-rep = transfer_check(broken, m=2, trials=300, seed=0)
+rep = transfer_check(broken, m=2)
 (c,) = rep.counterexamples
 print(f"corrupted template: holds {rep.holds}; demanded edges"
       f" {sorted(c.spec.positive)} fail once the parameters extend to"

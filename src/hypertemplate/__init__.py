@@ -2,8 +2,6 @@
 procedures, signature functions, and a saturation simulator."""
 
 from .errors import (
-    BudgetExhausted,
-    GenerationError,
     HypertemplateError,
     InputError,
     InternalConsistencyError,

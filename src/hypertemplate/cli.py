@@ -17,7 +17,7 @@ from math import isinf
 from pathlib import Path
 
 from . import serialization as ser
-from .errors import GenerationError, InputError, InternalConsistencyError
+from .errors import InputError, InternalConsistencyError
 from .oracle import brute_force_positive_type
 from .satsim import Distribution, build_distribution, verify_realization
 from .signature import (
@@ -90,7 +90,7 @@ def cmd_validate_template(args) -> int:
     rep = validate(t, args.depth)
     pairs = [("depth", rep.depth), ("exhaustive", str(rep.exhaustive).lower())]
     for p in rep.problems:
-        pairs.append(("problem", f"level {p.level} {p.condition}: {p.message}"))
+        pairs.append(("problem", f"level {p.level} extension: {p.message}"))
     pairs.append(("result", "valid" if rep.valid else "invalid"))
     _emit(args, _report("validate-template", args.seed, pairs))
     if not rep.valid:
@@ -106,16 +106,10 @@ def _template_and_typespec(args):
     return t, spec
 
 
-def _type_depth(args, t, spec) -> int:
-    """--depth, else deep enough for the stems and for m* of the parameters."""
-    return args.depth or max(spec.common_length(), t.stabilization_level(max(1, len(spec.params))) + 1)
-
-
 def cmd_decide_type(args) -> int:
     t, spec = _template_and_typespec(args)
-    depth = _type_depth(args, t, spec)
-    dec = decide_positive_type(t, spec, depth)
-    pairs = [("depth", depth)]
+    dec = decide_positive_type(t, spec, args.depth)
+    pairs = [("depth", dec.depth)]
     if dec.consistent:
         pairs.append(("witness", " ".join(map(str, dec.witness))))
     else:
@@ -176,11 +170,10 @@ def cmd_amalgamate(args) -> int:
 
 def cmd_qe_transfer(args) -> int:
     t = ser.load_template(_read(args.template))
-    rep = transfer_check(t, args.m, args.trials, args.seed, workers=args.workers)
+    rep = transfer_check(t, args.m)
     pairs = [
         ("m", rep.m),
         ("m-star", rep.m_star),
-        ("trials", rep.trials),
         ("exhaustive", str(rep.exhaustive).lower()),
         ("counterexamples", len(rep.counterexamples)),
     ]
@@ -298,12 +291,11 @@ def cmd_simulate_saturation(args) -> int:
 
 def cmd_oracle(args) -> int:
     t, spec = _template_and_typespec(args)
-    depth = _type_depth(args, t, spec)
-    dec = decide_positive_type(t, spec, depth)
-    o_cons, o_wit = brute_force_positive_type(t, spec, depth)
+    dec = decide_positive_type(t, spec, args.depth)
+    o_cons, o_wit = brute_force_positive_type(t, spec, dec.depth)
     agree = dec.consistent == o_cons and dec.witness == o_wit
     pairs = [
-        ("depth", depth),
+        ("depth", dec.depth),
         ("procedure", "consistent" if dec.consistent else "inconsistent"),
         ("oracle", "consistent" if o_cons else "inconsistent"),
         ("agree", str(agree).lower()),
@@ -392,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("qe-transfer", help="level-transfer experiment")
     sp.add_argument("template")
     sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--trials", type=int, default=200)
-    sp.add_argument("--workers", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_qe_transfer)
 
@@ -441,9 +431,6 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GenerationError as e:
-        sys.stderr.write(f"generation failed: {e}\n")
-        return NEGATIVE
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return INPUT_ERROR

@@ -1,10 +1,10 @@
 """Exception vocabulary shared by all modules.
 
-The CLI maps these onto exit codes: GenerationError -> 1, InputError -> 2,
-and InternalConsistencyError, like any exception it does not expect, -> 4
-with one "internal error:" line on stderr.  No verb raises BudgetExhausted.
-Definite negative results (inconsistent, counterexample, infeasible) are
-ordinary return values, not exceptions.
+The CLI maps these onto exit codes: InputError -> 2, and
+InternalConsistencyError, like any exception it does not expect, -> 4 with
+one "internal error:" line on stderr.  Definite negative results
+(inconsistent, counterexample, infeasible) and budget stops are ordinary
+return values, not exceptions.
 """
 
 
@@ -18,18 +18,6 @@ class InputError(HypertemplateError):
 
 class PreconditionError(InputError):
     """A documented operation precondition does not hold."""
-
-
-class GenerationError(HypertemplateError):
-    """Random generation exhausted its retry budget without a valid object."""
-
-
-class BudgetExhausted(HypertemplateError):
-    """An exhaustive search exceeded its budget; result is indeterminate."""
-
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class InternalConsistencyError(HypertemplateError):

@@ -13,7 +13,7 @@ from itertools import combinations, product
 from random import Random
 from typing import Optional, Sequence
 
-from .errors import BudgetExhausted, InputError, PreconditionError
+from .errors import InputError, PreconditionError
 from .hypergraph import Hypergraph
 from .signature import ParamType, SignatureFunction, equality_patterns, predicate_enumeration
 from .template import Template
@@ -86,24 +86,16 @@ def naive_extension_witness(h: Hypergraph, tuples) -> Optional[int]:
     return None
 
 
-def naive_edge_partners(
-    t: Template, rho: Sequence[int], depth: int, budget: int = 1_000_000
-) -> int:
+def naive_edge_partners(t: Template, rho: Sequence[int], depth: int) -> int:
     """Walk every (k-1)-tuple of stems of the given length and test it with
     rho at every level with is_edge, where enumerate_edge_partners takes a
-    product of per-level counts.  Raises BudgetExhausted carrying the
-    partial count when the enumeration space exceeds the budget."""
+    product of per-level counts."""
     rho = require_in_tree(t, rho, "rho")
     if depth < 0 or depth > len(rho):
         raise InputError(f"depth must lie in 0..{len(rho)}")
     stems = list(product(*(range(t.level_size(n)) for n in range(depth))))
-    total = len(stems) ** (t.arity - 1)
     count = 0
-    for examined, partner in enumerate(product(stems, repeat=t.arity - 1), 1):
-        if examined > budget:
-            raise BudgetExhausted(
-                f"enumeration space {total} exceeds budget {budget}", partial=count
-            )
+    for partner in product(stems, repeat=t.arity - 1):
         if all(
             t.level_hypergraph(n).is_edge((rho[n],) + tuple(s[n] for s in partner))
             for n in range(depth)
@@ -178,4 +170,4 @@ def naive_transfer_check(t: Template, m: int, trials: int, seed: int) -> Transfe
             ext_leaves = tuple(leaves[i] + (ext[i],) for i in range(n))
             ces.append(TransferCounterexample(spec, ext_leaves, trial))
             break
-    return TransferReport(m, ms, trials, tuple(ces))
+    return TransferReport(m, ms, tuple(ces))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, product
 from math import inf
+from operator import mul
 from random import Random
 from typing import Optional, Sequence, Union
 
@@ -141,33 +142,6 @@ class SignatureFunction:
         return self.values[:n]
 
 
-def _signature_prefix(
-    sizes: Sequence[int], code: int, stems: Sequence[Stem], n: Union[int, float]
-) -> list[int]:
-    """The first n values (all of them when n is past the end) of the
-    signature of in-tree stems over levels of these sizes, pattern code
-    given.  Stems must reach every level whose predicates fall below n."""
-    offsets = []
-    total = width = 1
-    for size in sizes:
-        if total >= n:
-            break
-        offsets.append(total)
-        width *= size
-        total += width
-    out = [0] * min(n, total)
-    if out:
-        out[0] = code
-    for j, s in enumerate(stems):
-        rank = 0
-        for l, offset in enumerate(offsets):
-            rank = rank * sizes[l] + s[l]
-            if offset + rank >= n:  # positions grow with the level
-                break
-            out[offset + rank] |= 1 << j
-    return out
-
-
 def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
     """Code the type: value 0 is the equality-pattern index, value m >= 1
     is the bitmask of variables whose stem extends the m-th predicate.
@@ -184,7 +158,16 @@ def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     sizes = [t.level_size(l) for l in range(depth)]
-    return SignatureFunction(tuple(_signature_prefix(sizes, code, stems, inf)), depth)
+    # the index of each length's first predicate, then one past the last
+    offsets = list(accumulate(accumulate(sizes, mul), initial=1))
+    values = [0] * offsets.pop()
+    values[0] = code
+    for j, s in enumerate(stems):
+        rank = 0
+        for l, offset in enumerate(offsets):
+            rank = rank * sizes[l] + s[l]
+            values[offset + rank] |= 1 << j
+    return SignatureFunction(tuple(values), depth)
 
 
 # -- the agreement test ----------------------------------------------------
@@ -270,17 +253,19 @@ def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult
     family is consistent (complete everywhere) or where n already pins
     types past the stabilization level, which are proved analytically.
     Sampled stems are in-tree and discrete: the level scan decides them,
-    on the stem levels whose reach bound does not prove that any s tuples
-    share a witness (Hypergraph._reach_proves), since only there can a
-    family fail.  The second family repeats the first's tuples below the
-    coverage level of n, so it is scanned only on those levels from there
-    on.  When none is left no second family can fail, so the test returns
-    without drawing; families_tried is then the whole budget, as the
-    sampled search would have ended there too."""
+    on the stored stem levels whose reach bound does not prove that any s
+    tuples share a witness (Hypergraph._reach_proves), since only there can
+    a family fail (tail levels are complete, so the stems are drawn down to
+    stem_depth but never scanned past the prefix).  The second family
+    repeats the first's tuples below the coverage level of n, so it is
+    scanned only on those levels from there on.  When none is left no
+    second family can fail, so the test returns without drawing;
+    families_tried is then the whole budget, as the sampled search would
+    have ended there too."""
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
     analytic = t.is_complete() or analytic_f_bound(t, s) <= n
-    graphs = t._level_graphs(budget.stem_depth)  # past the stems 0 is a witness
+    graphs = t._graphs[: budget.stem_depth]  # complete tail levels never fail
     lc = coverage_level(t, n)  # 0 when n = 0, where the second family is drawn afresh
     open_a = [l for l, h in enumerate(graphs) if not h._reach_proves(s)]
     open_b = [l for l in open_a if l >= lc]

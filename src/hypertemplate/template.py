@@ -14,7 +14,7 @@ from functools import lru_cache
 from random import Random
 from typing import Sequence
 
-from .errors import GenerationError, InputError
+from .errors import InputError
 from .hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 
 # samples random_template draws per level before it degrades the target arity
@@ -167,7 +167,6 @@ class Template:
 @dataclass(frozen=True)
 class LevelProblem:
     level: int
-    condition: str  # "extension"
     message: str
 
 
@@ -198,19 +197,16 @@ def validate(t: Template, depth: int) -> ValidationReport:
         exhaustive = exhaustive and chk.exhaustive
         if not chk.holds:
             problems.append(
-                LevelProblem(
-                    n,
-                    "extension",
-                    f"no common witness for tuples {chk.counterexample} at t = {f}",
-                )
+                LevelProblem(n, f"no common witness for tuples {chk.counterexample} at t = {f}")
             )
     return ValidationReport(depth, tuple(problems), exhaustive)
 
 
 def max_extension_arity(h: Hypergraph, cap: int) -> int:
-    """Largest t <= cap with the extension property, or 0 if none: one
-    smallest-cover search, exact unless the node bound stops it, in which
-    case the largest t it proved."""
+    """Largest t <= cap with the extension property, at least 1 since a
+    tuple's own vertices witness it: one smallest-cover search, exact
+    unless the node bound stops it, in which case the largest t it
+    proved."""
     if cap < 1:
         raise InputError(f"cap must be >= 1, got {cap}")
     return h.check_extension_property(cap).proven
@@ -240,7 +236,8 @@ def random_template(
     that is proven to hold.
 
     Deterministic for a given seed.  Any smaller f satisfying the axioms
-    still yields a template, which makes degradation sound."""
+    still yields a template, which makes degradation sound, and f = 1
+    always holds, so generation never fails."""
     if len(level_sizes) != len(target_f):
         raise InputError("level_sizes and target_f must have equal length")
     if not level_sizes:
@@ -259,11 +256,8 @@ def random_template(
                 h, f = cand, tf
                 break
         else:
-            cand = random_hypergraph(arity, size, edge_prob, rng)
-            f = max_extension_arity(cand, tf)
-            if f == 0:
-                raise GenerationError(f"level {n}: no extension arity achievable after retries")
-            h = cand
+            h = random_hypergraph(arity, size, edge_prob, rng)
+            f = max_extension_arity(h, tf)
         levels.append((h, f))
     return Template(arity, levels, TailPolicy("complete_growing", 1))
 

@@ -157,6 +157,8 @@ def build_random_model(
     """count_per_leaf elements on every length-m leaf stem; each allowed
     k-subset becomes an edge independently with edge_prob.  Forbidden
     subsets are never included, so the result always checks clean."""
+    if m < 0:
+        raise InputError(f"level must be >= 0, got {m}")
     if m > t.prefix_len:
         raise InputError(f"level {m} beyond stored prefix {t.prefix_len}")
     if count_per_leaf < 0:

@@ -14,7 +14,7 @@ callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, factorial
 from operator import lt
 from typing import Optional, Sequence
@@ -104,9 +104,15 @@ def complete_to_leaf(
 
 @dataclass(frozen=True)
 class TypeDecision:
+    """A type decision: the witness stem when consistent, else the first
+    level without one.  ``depth`` is the depth decide_positive_type decided
+    at (None from the bare level scan); it stays out of repr and equality,
+    which compare verdicts only."""
+
     consistent: bool
     witness: Optional[Stem]
     failing_level: Optional[int] = None
+    depth: Optional[int] = field(default=None, repr=False, compare=False)
 
 
 def _scan_levels(graphs: Sequence[Hypergraph], rows: Sequence, x: Stem = ()) -> TypeDecision:

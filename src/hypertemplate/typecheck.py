@@ -77,7 +77,7 @@ def decide_positive_type(
     stems' common length.  Below it the scan stops where x and the stems
     end, since past them vertex 0 is always a witness.  Returns the
     canonical least-per-level witness stem, padded with 0 to check_depth,
-    when consistent.
+    when consistent; the decision carries check_depth as ``depth``.
     """
     rows = _validated_params(t, spec)
     needed = max(spec.common_length(), t.stabilization_level(max(1, len(rows))) + 1)
@@ -92,9 +92,9 @@ def decide_positive_type(
     if rows:
         dec = _scan_levels(t._level_graphs(max(spec.common_length(), len(x))), rows, x)
         if not dec.consistent:
-            return dec
+            return TypeDecision(False, None, dec.failing_level, check_depth)
         x = dec.witness
-    return TypeDecision(True, x + (0,) * (check_depth - len(x)))
+    return TypeDecision(True, x + (0,) * (check_depth - len(x)), None, check_depth)
 
 
 # -- complete quantifier-free formulas -------------------------------------
@@ -195,7 +195,6 @@ class TransferCounterexample:
 class TransferReport:
     m: int
     m_star: int
-    trials: int
     counterexamples: tuple[TransferCounterexample, ...]
     exhaustive: bool = True
 
@@ -205,7 +204,7 @@ class TransferReport:
 
 
 def transfer_check(
-    t: Template, m: int, trials: int, seed: int, workers: int = 1
+    t: Template, m: int, trials: int = 1, seed: int = 0, workers: int = 1
 ) -> TransferReport:
     """Decide the level-transfer property: a complete qf formula with up to
     2(k-1) parameters and at most m demanded edges that is consistent at the
@@ -224,8 +223,9 @@ def transfer_check(
     the stem (0,) * ms, parameter i extended by the family's i-th vertex.
     ``exhaustive`` is False when the node bound stopped the search; the
     report then holds no counterexample and proves nothing.  trials, seed
-    and workers are validated but do not change the result (the sampled
-    trials live on as oracle.naive_transfer_check)."""
+    and workers change nothing (the sampled trials live on as
+    oracle.naive_transfer_check); they stay, with defaults, for old
+    callers, and trials and workers must still be >= 1."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if workers < 1:
@@ -248,4 +248,4 @@ def transfer_check(
             positive=frozenset(tuple(map(verts.index, tup)) for tup in chk.counterexample),
         )
         ces = (TransferCounterexample(spec, tuple(stem + (v,) for v in verts)),)
-    return TransferReport(m, ms, trials, ces, chk.exhaustive)
+    return TransferReport(m, ms, ces, chk.exhaustive)

@@ -17,14 +17,12 @@ from hypertemplate.signature import (
     SearchBudget,
     _sample_matching,
     _sample_stems,
-    _signature_prefix,
     analytic_f_bound,
     coverage_level,
     equality_patterns,
     family_consistent,
     f_signature,
     oplus_test,
-    pattern_index,
     predicate_count,
 )
 from hypertemplate.template import TailPolicy, Template, random_template
@@ -58,31 +56,6 @@ class TestClosedForm:
         t, ptype, depth = case
         assert f_signature(t, ptype, depth) == naive_f_signature(t, ptype, depth)
 
-    @settings(max_examples=150, deadline=None)
-    @given(typed_signature_cases())
-    def test_prefix_matches_restrict(self, case):
-        # slices of the whole signature, at every n where the prefix can
-        # change shape: near the start, each level offset, each position a
-        # stem writes and the end; stems are cut to the levels n needs
-        t, ptype, depth = case
-        sig = f_signature(t, ptype, depth)
-        total = 1 + predicate_count(t, depth)
-        assert len(sig.values) == total
-        sizes = [t.level_size(l) for l in range(depth)]
-        offsets = [1 + predicate_count(t, l) for l in range(depth + 1)]  # the last is total
-        written = []
-        for stem in ptype.stems:
-            rank = 0
-            for l in range(depth):
-                rank = rank * sizes[l] + stem[l]
-                written.append(offsets[l] + rank)
-        ns = {p + d for p in offsets + written for d in (-1, 0, 1)}
-        ns |= {*range(4), *range(total, total + 4)}
-        code = pattern_index(ptype.equality)
-        for n in sorted(ns):
-            cut = tuple(stem[: sum(o < n for o in offsets[:-1])] for stem in ptype.stems)
-            assert tuple(_signature_prefix(sizes, code, cut, n)) == sig.restrict(n)
-
     def test_sparse(self):
         t = Template(3, [(Hypergraph(3, 4), 1)] * 3)
         sig = f_signature(t, ParamType(stems=((1, 2, 3), (1, 0, 0))), 3)
@@ -113,8 +86,8 @@ def sampled_families(draw):
 
 @st.composite
 def matching_cases(draw):
-    """Level sizes down to a stem depth of 1..5 (stored sizes 1..5, then the
-    tail), base stems over them, n from 0 to past the last index they
+    """A template, its level sizes down to a stem depth of 1..5 (stored
+    sizes 1..5, then the tail), base stems over them, n from 0 to past the last index they
     reach, the coverage level of n (len(sizes) or more once n is past the
     stems), a try count and a seed."""
     k = draw(st.integers(2, 4))
@@ -124,17 +97,18 @@ def matching_cases(draw):
     sizes = [t.level_size(l) for l in range(depth)]
     base = tuple(tuple(draw(st.integers(0, m - 1)) for m in sizes) for _ in range(k - 1))
     n = draw(st.integers(0, predicate_count(t, depth) + 3))
-    return base, n, sizes, coverage_level(t, n), draw(st.integers(1, 3)), draw(st.integers(0, 2**32))
+    return t, base, n, sizes, coverage_level(t, n), draw(st.integers(1, 3)), draw(st.integers(0, 2**32))
 
 
-def _prefix_matching(base, n, sizes, lc, rng, tries):
+def _prefix_matching(t, base, n, sizes, lc, rng, tries):
     """The match by whole signature prefixes, as the agreement test first
     computed it: draw stems keeping base's first lc entries until their
     first n signature values equal base's."""
-    want = _signature_prefix(sizes, 0, base, n)
+    prefix = lambda stems: f_signature(t, ParamType(stems=stems), len(sizes)).restrict(n)
+    want = prefix(base)
     for _ in range(tries):
         stems = tuple(s[:lc] + tuple(rng.randrange(m) for m in sizes[lc:]) for s in base)
-        if _signature_prefix(sizes, 0, stems, n) == want:
+        if prefix(stems) == want:
             return stems
     return None
 
@@ -156,11 +130,11 @@ class TestAgreementShortcuts:
     @settings(max_examples=500, deadline=None)
     @given(matching_cases())
     def test_one_level_match_equals_prefix_match(self, case):
-        base, n, sizes, lc, tries, seed = case
+        t, base, n, sizes, lc, tries, seed = case
         first = n - 1 - sum(prod(sizes[: l + 1]) for l in range(lc))  # least level-lc rank of index >= n
         rng, ref_rng = Random(seed), Random(seed)
         match = _sample_matching(base, first, sizes, lc, rng, tries)
-        assert match == _prefix_matching(base, n, sizes, lc, ref_rng, tries)
+        assert match == _prefix_matching(t, base, n, sizes, lc, ref_rng, tries)
         assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
 
 

@@ -1,11 +1,12 @@
 from math import comb
+from random import Random
 
 import pytest
 
 from hypertemplate import hypergraph, template
 from hypertemplate.cli import run
 from hypertemplate.errors import InputError
-from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
+from hypertemplate.hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 from hypertemplate.template import (
     TailPolicy,
     Template,
@@ -102,12 +103,20 @@ class TestValidate:
         rep = validate(t, 1)
         assert not rep.valid
         assert rep.problems[0].level == 0
-        assert rep.problems[0].condition == "extension"
+        assert "no common witness" in rep.problems[0].message
 
     def test_repetition_only_level_f1_is_valid(self):
         # t = 1 always has a witness via repetition edges
         t = Template(3, [(Hypergraph(3, 3), 1)])
         assert validate(t, 1).valid
+        # so the largest arity a random level proves is never 0, which is
+        # why random_template cannot fail, edgeless levels included
+        for k, size in ((2, 3), (3, 4), (4, 5)):
+            levels = [Hypergraph(k, size)]  # edgeless
+            levels += [random_hypergraph(k, size, p, Random(seed))
+                       for seed in range(10) for p in (0.1, 0.4, 0.8)]
+            for h in levels:
+                assert max_extension_arity(h, size) >= 1
 
     def test_corrupted_template_fails(self):
         t = random_template(3, [4, 4], 0.9, [2, 2], seed=0)

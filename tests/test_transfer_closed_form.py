@@ -123,7 +123,7 @@ def test_matches_oracle_at_both_worker_counts(name, t, m):
 
 
 def canonical(rep) -> str:
-    rows = [f"{rep.m} {rep.m_star} {rep.trials}"]
+    rows = [f"{rep.m} {rep.m_star} {TRIALS}"]
     for c in rep.counterexamples:
         s = c.spec
         # every counterexample is consistent at m* and not one level up;

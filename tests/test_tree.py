@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertemplate.errors import BudgetExhausted, InputError, PreconditionError
+from hypertemplate.errors import InputError, PreconditionError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 from hypertemplate.oracle import naive_edge_partners
 from hypertemplate.template import (
@@ -164,12 +164,6 @@ class TestEnumerateEdgePartners:
             deep = enumerate_edge_partners(t, (0, 0, 0), d + 1)
             # each deep partner projects to a qualifying shallow one
             assert deep <= shallow * t.level_size(d)
-
-    def test_budget_exhausted_carries_partial(self):
-        t = complete_template(3, 3)
-        with pytest.raises(BudgetExhausted) as ei:
-            naive_edge_partners(t, (0, 0, 0), 3, budget=5)
-        assert ei.value.partial == 5
 
     @given(
         st.integers(2, 4),

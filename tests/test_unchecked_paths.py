@@ -10,7 +10,6 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertemplate.errors import GenerationError
 from hypertemplate.hypergraph import Hypergraph, random_hypergraph
 from hypertemplate.template import (
     TailPolicy,
@@ -202,11 +201,7 @@ def decision_digest() -> tuple[str, int, int]:
     calls = raised = 0
     for i in range(150):
         rng = Random(9000 + i)
-        try:
-            t = _template(i, rng)
-        except GenerationError as e:
-            digest.update(f"{i} template {type(e).__name__}: {e}\n".encode())
-            continue
+        t = _template(i, rng)
         todo = []
         for make in (_positive_type_call, _qf_call, _einfty_call, _complete_call):
             todo += [make(t, rng) for _ in range(6)]

@@ -10,7 +10,6 @@ from hypertemplate import (
     Instance,
     ParamType,
     Scenario,
-    SearchBudget,
     TailPolicy,
     Template,
     analytic_g_table,
@@ -21,20 +20,18 @@ from hypertemplate import (
     verify_realization,
 )
 
-budget = SearchBudget(stem_depth=3, families=300, seed=0)
-
 # On the complete template every family of positive instances is
 # consistent, so no agreement at all is needed: F = 0, G = infinity.
 c = complete_template(3, 3)
 print("complete template:")
-print("  F(3) =", F_estimate(c, 3, budget).upper_bound)
-print("  G(5) =", G_estimate(c, 5, budget).value)
+print("  F(3) =", F_estimate(c, 3).upper_bound)
+print("  G(5) =", G_estimate(c, 5).value)
 print()
 
 # A template with a real bottleneck: level 0 has two vertices, no uniform
 # edges, and arity 1.  Instances that disagree at level 0 clash.
 b = Template(2, [(Hypergraph(2, 2), 1)], TailPolicy("complete_growing", 1))
-est = F_estimate(b, 2, budget)
+est = F_estimate(b, 2)
 print("bottleneck template:")
 print(f"  F(2) in [{est.lower_bound}, {est.upper_bound}],"
       f" analytic bound {est.analytic_bound}")

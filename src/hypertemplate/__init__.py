@@ -63,7 +63,6 @@ from .signature import (
     OplusCounterexample,
     OplusResult,
     ParamType,
-    SearchBudget,
     SignatureFunction,
     analytic_f_bound,
     analytic_g_lower,
@@ -91,12 +90,15 @@ from .satsim import (
     verify_realization,
 )
 from .oracle import (
+    SearchBudget,
     brute_force_positive_type,
     naive_edge_partners,
     naive_extension_property,
     naive_extension_witness,
     naive_f_signature,
+    naive_oplus_test,
     naive_transfer_check,
+    sampled_oplus_test,
 )
 from . import serialization
 

@@ -24,7 +24,6 @@ from .signature import (
     F_estimate,
     G_estimate,
     ParamType,
-    SearchBudget,
     analytic_g_table,
     f_signature,
     oplus_test,
@@ -206,13 +205,10 @@ def cmd_signature(args) -> int:
 
 def cmd_estimate_fg(args) -> int:
     t = ser.load_template(_read(args.template))
-    budget = SearchBudget(
-        stem_depth=args.stem_depth, families=args.families, seed=args.seed
-    )
     pairs = []
     exact = True
     if args.F is not None:
-        est = F_estimate(t, args.F, budget)
+        est = F_estimate(t, args.F)
         exact = exact and est.exact
         pairs += [
             ("F-s", est.s),
@@ -223,7 +219,7 @@ def cmd_estimate_fg(args) -> int:
             ("F-certificates", len(est.certificates)),
         ]
     if args.G is not None:
-        est = G_estimate(t, args.G, budget)
+        est = G_estimate(t, args.G)
         exact = exact and est.exact
         val = "inf" if isinstance(est.value, float) and isinf(est.value) else est.value
         pairs += [
@@ -241,23 +237,17 @@ def cmd_estimate_fg(args) -> int:
 
 def cmd_oplus(args) -> int:
     t = ser.load_template(_read(args.template))
-    budget = SearchBudget(
-        stem_depth=args.stem_depth, families=args.families, seed=args.seed
-    )
-    res = oplus_test(t, args.s, args.n, budget)
+    res = oplus_test(t, args.s, args.n)
     pairs = [
         ("s", res.s),
         ("n", res.n),
-        ("families-tried", res.families_tried),
-        ("analytic", str(res.analytic).lower()),
+        ("exhaustive", str(res.exhaustive).lower()),
+        ("result", "holds" if res.counterexample is None else "counterexample"),
     ]
-    if res.counterexample is not None:
-        pairs.append(("result", "counterexample"))
-        _emit(args, _report("oplus", args.seed, pairs))
-        return NEGATIVE
-    pairs.append(("result", "holds" if res.analytic else "holds-up-to-budget"))
     _emit(args, _report("oplus", args.seed, pairs))
-    return OK if res.analytic else INDETERMINATE
+    if res.counterexample is not None:
+        return NEGATIVE
+    return OK if res.exhaustive else INDETERMINATE
 
 
 def cmd_simulate_saturation(args) -> int:
@@ -398,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("template")
     sp.add_argument("--F", type=int, default=None, metavar="S")
     sp.add_argument("--G", type=int, default=None, metavar="N")
-    sp.add_argument("--stem-depth", type=int, default=3)
-    sp.add_argument("--families", type=int, default=300)
     common(sp)
     sp.set_defaults(func=cmd_estimate_fg)
 
@@ -407,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("template")
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--stem-depth", type=int, default=3)
-    sp.add_argument("--families", type=int, default=300)
     common(sp)
     sp.set_defaults(func=cmd_oplus)
 

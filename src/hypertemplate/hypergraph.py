@@ -8,13 +8,17 @@ level's lifetime.  The extension property is decided exactly, by a search
 for a smallest cover of the vertex set by complements of witness masks,
 within a bound on the nodes it visits.  The search's set-up is kept per
 level and mode (with or without a span) as well, so repeated checks on a
-level pay only for the search.
+level pay only for the search.  The same search, run once per vertex over
+the tuples whose window replacements can reach it, decides the window
+variant on which the agreement test rests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from functools import reduce
+from itertools import accumulate, combinations, product
+from operator import and_
 from random import Random
 from typing import Iterable, Optional, Sequence
 
@@ -188,12 +192,8 @@ class Hypergraph:
                 if m != full and (span is not None or m not in seen):
                     seen.add(m)
                     rows.append((m, tup))
-            rows.sort(key=lambda row: row[0].bit_count())  # stable: ties keep that order
-            comps = [full ^ m for m, _ in rows]
-            # no j complements cover more than reach[j] vertices
-            reach = list(accumulate(map(int.bit_count, comps), initial=0))
             # supports and by_vertex wait for a call that gets past reach
-            setup = self._cover[span is None] = (reach, comps, [tup for _, tup in rows], None, None)
+            setup = self._cover[span is None] = (*_by_size(full, rows), None, None)
         reach = setup[0]
         return reach[min(t, len(reach) - 1)] < self.size
 
@@ -204,53 +204,120 @@ class Hypergraph:
 
         Tuples lack one exactly when the complements of their witness masks
         cover the vertex set, so this searches for a smallest cover by at
-        most t complements: it branches on the least uncovered vertex,
-        leaving out complements an earlier sibling's subtree tried, and
-        raises the cover size one step at a time.  Without span it offers
-        one inclusion-maximal complement per distinct mask (a cover may
-        trade any other for one containing it); with span, one complement
-        per (k-1)-set, taken only while the chosen sets stay within span
+        most t complements (_cover_search).  Without span it offers one
+        inclusion-maximal complement per distinct mask (a cover may trade
+        any other for one containing it); with span, one complement per
+        (k-1)-set, taken only while the chosen sets stay within span
         vertices.  Masks come from the completion table and leave the
         witness_mask memo alone.  The set-up is kept on the level per mode:
         the complements by size and the bound on what j of them can cover
         from the first call (through _reach_proves, which tests that bound
-        first), the maximality filter or supports and the
-        per-vertex lists from the first call that gets past that bound.
-        The search, its node count and its result stay per call.  Past
-        COVER_SEARCH_NODES examined complements, offered or filtered out,
-        it stops with exhaustive=False."""
+        first), the maximality filter or supports and the per-vertex lists
+        from the first call that gets past that bound.  The search, its
+        node count and its result stay per call."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         if self._reach_proves(t, span):
             return ExtensionCheck(True, True, proven=t)
+        setup = self._cover[span is None]
+        if setup[-1] is None:  # the first search on this level and mode
+            # reach still counts every complement, so it bounds the kept ones too
+            setup = self._cover[span is None] = (setup[0], *_index(self.size, *setup[1:3], span))
+        return self._cover_search(t, setup, span, [0])
+
+    def check_window_extension(self, t: int, start: int) -> ExtensionCheck:
+        """Check that every choice of t (k-1)-tuples has a common witness
+        when window replacements of them share one.  A tuple's window
+        replacements keep its vertices below start and move each other one
+        to any vertex from start on (the tuple itself among them), and its
+        window mask is the OR of their witness masks.
+
+        A counterexample is a smallest list of at most t tuples with no
+        common witness whose window masks share a vertex;
+        _window_replacements gives the replacements.  With start <= 0 every
+        choice qualifies, so this is check_extension_property; with start
+        >= size no choice does.  Otherwise, for each vertex w, the cover
+        search runs over the tuples whose window mask holds w (once per
+        distinct set of such masks), all under one node bound."""
+        if t < 1:
+            raise InputError(f"t must be >= 1, got {t}")
+        if start <= 0:
+            return self.check_extension_property(t)
+        if start >= self.size or self._reach_proves(t):
+            return ExtensionCheck(True, True, proven=t)
+        full = (1 << self.size) - 1
+        rows = [
+            (self._mask(tup), self._window_mask(tup, start), tup)
+            for tup in combinations(range(self.size), self.arity - 1)
+        ]
+        nodes = [0]  # shared by every vertex's search
+        searched: set[frozenset[int]] = set()
+        for w in range(self.size):
+            seen: dict[int, tuple[int, ...]] = {}
+            for m, window, tup in rows:
+                if window >> w & 1 and m != full:
+                    seen.setdefault(m, tup)
+            key = frozenset(seen)
+            if key in searched:
+                continue
+            searched.add(key)
+            reach, comps, tuples = _by_size(full, list(seen.items()))
+            if reach[min(t, len(reach) - 1)] < self.size:
+                continue
+            chk = self._cover_search(t, (reach, *_index(self.size, comps, tuples, None)), None, nodes)
+            if not chk.holds:
+                return chk
+            if not chk.exhaustive:  # the vertices not yet searched prove nothing
+                return ExtensionCheck(True, False)
+        return ExtensionCheck(True, True, proven=t)
+
+    def _window(self, tup: tuple[int, ...], start: int) -> Iterable[tuple[int, ...]]:
+        """The window replacements of tup, in product order."""
+        lo = max(start, 0)
+        return product(*((v,) if v < start else range(lo, self.size) for v in tup))
+
+    def _window_mask(self, tup: tuple[int, ...], start: int) -> int:
+        """OR of the witness masks of tup's window replacements.  It is
+        tup's own mask when all its vertices lie below start, and full when
+        two do not (one replacement repeats a vertex)."""
+        full = (1 << self.size) - 1
+        mask = 0
+        for r in self._window(tup, start):
+            mask |= self._mask(r)
+            if mask == full:
+                break
+        return mask
+
+    def _window_replacements(self, tuples: Sequence[tuple[int, ...]], start: int) -> tuple[tuple[int, ...], ...]:
+        """One window replacement per tuple, all sharing the least vertex
+        their window masks share: for each, the first in product order whose
+        mask holds it.  The window masks must share a vertex."""
+        common = reduce(and_, (self._window_mask(tup, start) for tup in tuples))
+        w = (common & -common).bit_length() - 1
+        return tuple(next(r for r in self._window(tup, start) if self._mask(r) >> w & 1) for tup in tuples)
+
+    def _cover_search(self, t: int, setup: tuple, span: Optional[int], nodes: list[int]) -> ExtensionCheck:
+        """Search the set-up (reach, sets, tuples, supports, by_vertex) for a
+        smallest cover of the vertex set by at most t sets: branch on the
+        least uncovered vertex, leave out sets an earlier sibling's subtree
+        tried, and raise the cover size one step at a time.  nodes[0] counts
+        the sets examined, offered or filtered out, across every search that
+        shares the list; past COVER_SEARCH_NODES the search stops with
+        exhaustive=False."""
+        reach, sets, tuples, supports, by_vertex = setup
+        if not all(by_vertex):  # a vertex no set holds: every choice has a witness
+            return ExtensionCheck(True, True, proven=t)
         full = (1 << self.size) - 1
         width = self.arity - 1
-        reach, sets, tuples, supports, by_vertex = self._cover[span is None]
-        if by_vertex is None:  # the first search on this level and mode
-            if span is None:
-                comps, sets, kept = sets, [], []
-                for c, tup in zip(comps, tuples):
-                    if all(c & s != c for s in sets):  # supersets come first
-                        sets.append(c)
-                        kept.append(tup)
-                tuples = kept
-                supports = [0] * len(sets)
-            else:
-                supports = [sum(1 << v for v in tup) for tup in tuples]
-            by_vertex = [[i for i, c in enumerate(sets) if c >> v & 1] for v in range(self.size)]
-            # reach still counts every complement, so it bounds the kept ones too
-            self._cover[span is None] = (reach, sets, tuples, supports, by_vertex)
-        if not all(by_vertex):  # a vertex no complement holds: every choice has a witness
-            return ExtensionCheck(True, True, proven=t)
         chosen: list[int] = []
-        nodes = 0
+        used = nodes[0]
 
         def cover(uncovered: int, spare: int, banned: int, support: int) -> bool:
-            # a complement holding the least uncovered vertex, then <= spare more
-            nonlocal nodes
+            # a set holding the least uncovered vertex, then <= spare more
+            nonlocal used
             branch = by_vertex[(uncovered & -uncovered).bit_length() - 1]
-            nodes += len(branch)
-            if nodes > COVER_SEARCH_NODES:
+            used += len(branch)
+            if used > COVER_SEARCH_NODES:
                 raise _NodeBoundReached
             if span is not None and span - support.bit_count() < width:  # else every set fits
                 branch = [i for i in branch if (support | supports[i]).bit_count() <= span]
@@ -276,8 +343,36 @@ class Hypergraph:
         except _NodeBoundReached:
             return ExtensionCheck(True, False, proven=proven)
         finally:
+            nodes[0] = used
             del cover  # the closure holds itself: free its lists now, not at the next GC
         return ExtensionCheck(True, True, proven=t)
+
+
+def _by_size(full: int, rows: list[tuple[int, tuple[int, ...]]]) -> tuple[list[int], list[int], list]:
+    """The first part of a cover-search set-up from (mask, tuple) rows: the
+    complements, largest first (ties keep row order), their tuples, and
+    reach, where no j complements cover more than reach[j] vertices."""
+    rows.sort(key=lambda row: row[0].bit_count())
+    comps = [full ^ m for m, _ in rows]
+    reach = list(accumulate(map(int.bit_count, comps), initial=0))
+    return reach, comps, [tup for _, tup in rows]
+
+
+def _index(size: int, comps: list[int], tuples: list, span: Optional[int]) -> tuple:
+    """The rest of a cover-search set-up: without span the inclusion-maximal
+    complements (supersets come first) with zero supports, with span every
+    complement with its tuple's vertices as support; then, per vertex, the
+    indices of the sets that hold it."""
+    if span is None:
+        sets, kept = [], []
+        for c, tup in zip(comps, tuples):
+            if all(c & s != c for s in sets):
+                sets.append(c)
+                kept.append(tup)
+        supports = [0] * len(sets)
+    else:
+        sets, kept, supports = comps, tuples, [sum(1 << v for v in tup) for tup in tuples]
+    return sets, kept, supports, [[i for i, c in enumerate(sets) if c >> v & 1] for v in range(size)]
 
 
 def _completion_table(edges: Iterable[frozenset[int]]) -> dict[int, int]:

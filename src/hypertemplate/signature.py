@@ -1,4 +1,4 @@
-"""Signature functions for parameter types, and the agreement test.
+"""Signature functions for parameter types, and the exact agreement test.
 
 A parameter type (an equality pattern plus k-1 leaf stems) is encoded as a
 sequence of natural-number codes: position 0 codes the equality pattern,
@@ -13,21 +13,26 @@ lexicographically, so the predicate of stem prefix p sits at index
 sizes).  A type's stems extend at most (k-1) * depth predicates, so every
 other value is 0 and a signature costs O(k * depth) to fill in;
 ``oracle.naive_f_signature`` keeps the enumeration as a cross-check.
+
+The agreement test, and F and G over it, are decided level by level with
+the extension check's cover search, so "holds" is a proof unless a node
+bound stopped a check; ``oracle.naive_oplus_test`` walks every pair of
+families instead, and ``oracle.sampled_oplus_test`` keeps the sampled
+search this replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import accumulate, product
-from math import inf
+from functools import lru_cache
+from itertools import accumulate, count, product
+from math import inf, prod
 from operator import mul
-from random import Random
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
 from .template import Template
-from .tree import Stem, _scan_levels, require_in_tree
+from .tree import Stem, require_in_tree
 from .typecheck import PositiveTypeSpec, decide_positive_type
 
 # -- canonical enumerations ------------------------------------------------
@@ -173,19 +178,6 @@ def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
 # -- the agreement test ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    stem_depth: int = 3
-    families: int = 300
-    resamples: int = 50
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("stem_depth", "families", "resamples"):
-            if getattr(self, name) < 1:
-                raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
 Family = tuple[ParamType, ...]
 
 
@@ -198,12 +190,16 @@ class OplusCounterexample:
 
 @dataclass(frozen=True)
 class OplusResult:
+    """One agreement test.  ``exhaustive`` is False only when a node bound
+    stopped a check and no counterexample was found, so that "holds" is
+    unproven.  ``families_tried`` is always 0; bench/tracing.py's outcome
+    hook still reads it."""
+
     s: int
     n: int
-    holds_up_to_budget: bool
+    exhaustive: bool
     counterexample: Optional[OplusCounterexample]
-    families_tried: int
-    analytic: bool = False  # True when holding is proved, not just unrefuted
+    families_tried: int = 0
 
 
 def family_consistent(t: Template, family: Family) -> bool:
@@ -217,87 +213,52 @@ def family_consistent(t: Template, family: Family) -> bool:
     return decide_positive_type(t, spec).consistent
 
 
-def _sample_stems(sizes: Sequence[int], variables: int, rng: Random) -> tuple[Stem, ...]:
-    return tuple(tuple(rng.randrange(m) for m in sizes) for _ in range(variables))
+def oplus_test(t: Template, s: int, n: int) -> OplusResult:
+    """Decide whether two families of s parameter types (discrete pattern),
+    signature-matched up to index n, can have the first family's positive
+    instances jointly consistent and the second's not.
 
-
-def _sample_matching(
-    base: tuple[Stem, ...], first: int, sizes: Sequence[int], lc: int, rng: Random, tries: int
-) -> Optional[tuple[Stem, ...]]:
-    """Stems agreeing with base's on signature indices < n, random beyond,
-    where first is the least level-lc rank of an index >= n.  They keep
-    base's first lc (the coverage level of n) entries, so only the
-    predicates of length lc + 1 can differ: each stem must sit under base's
-    there, or under one of index >= n where base's index is >= n.  When
-    n <= 0, lc is 0 and first < 0, so every stem is drawn afresh."""
-    if lc >= len(sizes):
-        return base  # nothing is left to draw
-    window = []  # per stem, the vertices it may take at level lc
-    for s in base:
-        start = first - reduce(lambda r, l: r * sizes[l] + s[l], range(lc), 0) * sizes[lc]
-        window.append((s[lc], s[lc]) if s[lc] < start else (start, sizes[lc]))
-    for _ in range(tries):
-        stems = tuple(s[:lc] + tuple(rng.randrange(m) for m in sizes[lc:]) for s in base)
-        if all(lo <= s[lc] <= hi for s, (lo, hi) in zip(stems, window)):
-            return stems
-    return None
-
-
-def oplus_test(t: Template, s: int, n: int, budget: SearchBudget) -> OplusResult:
-    """Search for two families of s parameter types, signature-matched up
-    to index n, where the first family's positive instances are jointly
-    consistent and the second's are not.
-
-    Finding one refutes the agreement property at (s, n) exactly; finding
-    none is only "holds up to budget", except on templates where every
-    family is consistent (complete everywhere) or where n already pins
-    types past the stabilization level, which are proved analytically.
-    Sampled stems are in-tree and discrete: the level scan decides them,
-    on the stored stem levels whose reach bound does not prove that any s
-    tuples share a witness (Hypergraph._reach_proves), since only there can
-    a family fail (tail levels are complete, so the stems are drawn down to
-    stem_depth but never scanned past the prefix).  The second family
-    repeats the first's tuples below the coverage level of n, so it is
-    scanned only on those levels from there on.  When none is left no
-    second family can fail, so the test returns without drawing;
-    families_tried is then the whole budget, as the sampled search would
-    have ended there too."""
+    Let lc be the coverage level of n.  Matched types share their stems
+    below lc, and at lc a stem whose vertex lies below its start (the least
+    level-lc rank of an index >= n, less the rank of the stem's prefix)
+    must keep it, while one at or past it may move anywhere from there on;
+    past lc the stems are free.  The levels are independent, so the stems
+    may sit at each level's largest vertex everywhere but the failing one,
+    which gives the least start.  A counterexample therefore exists exactly
+    when some stored level past lc fails the extension property for s
+    tuples, or level lc fails check_window_extension(s, start); tail levels
+    are complete and never fail.  The certificate is built from the failing
+    level's tuples (see _certificate)."""
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
-    analytic = t.is_complete() or analytic_f_bound(t, s) <= n
-    graphs = t._graphs[: budget.stem_depth]  # complete tail levels never fail
-    lc = coverage_level(t, n)  # 0 when n = 0, where the second family is drawn afresh
-    open_a = [l for l, h in enumerate(graphs) if not h._reach_proves(s)]
-    open_b = [l for l in open_a if l >= lc]
-    if not open_b:
-        return OplusResult(s, n, True, None, budget.families, analytic=analytic)
-    graphs_a, graphs_b = ([graphs[l] for l in levels] for levels in (open_a, open_b))
+    lc = coverage_level(t, n)
+    sizes = [t.level_size(l) for l in range(lc + 1)]
+    start = n - 1 - predicate_count(t, lc) - (prod(sizes[:lc]) - 1) * sizes[lc]
+    exhaustive = True
+    for l in range(lc, t.prefix_len):
+        h = t._graphs[l]
+        window = start if l == lc else 0
+        chk = h.check_window_extension(s, window)
+        if not chk.holds:
+            ce = chk.counterexample
+            return OplusResult(s, n, True, _certificate(t, s, n, l, h._window_replacements(ce, window), ce))
+        exhaustive = exhaustive and chk.exhaustive
+    return OplusResult(s, n, exhaustive, None)
 
-    def consistent(fam, levels, hs):  # the level scan on these levels only
-        rows = [[tuple(map(stem.__getitem__, levels)) for stem in stems] for stems in fam]
-        return _scan_levels(hs, rows).consistent
 
-    sizes = [t.level_size(l) for l in range(budget.stem_depth)]
-    first = n - 1 - predicate_count(t, lc)  # the least level-lc rank of an index >= n
-    rng = Random(budget.seed)
-    tried = 0
-    for _ in range(budget.families):
-        tried += 1
-        fam_a = tuple(_sample_stems(sizes, t.arity - 1, rng) for _ in range(s))
-        if not consistent(fam_a, open_a, graphs_a):
-            continue
-        fam_b = []
-        for stems in fam_a:
-            match = _sample_matching(stems, first, sizes, lc, rng, budget.resamples)
-            if match is None:
-                break
-            fam_b.append(match)
-        if len(fam_b) != s:
-            continue
-        if not consistent(fam_b, open_b, graphs_b):
-            fam_a, fam_b = (tuple(ParamType(stems=st) for st in fam) for fam in (fam_a, fam_b))
-            return OplusResult(s, n, False, OplusCounterexample(fam_a, fam_b, n), tried)
-    return OplusResult(s, n, True, None, tried, analytic=analytic)
+def _certificate(t: Template, s: int, n: int, level: int, tuples_a, tuples_b) -> OplusCounterexample:
+    """Two families whose stems sit at the largest vertex of every level
+    below the failing one and end there with the given tuples' vertices,
+    each padded to s types by repeating its last tuple.  Below the failing
+    level every tuple repeats one vertex or all tuples coincide, so only
+    the failing level decides either family."""
+    top = tuple(t.level_size(l) - 1 for l in range(level))
+
+    def family(tuples) -> Family:
+        tuples = tuples + tuples[-1:] * (s - len(tuples))
+        return tuple(ParamType(stems=tuple(top + (v,) for v in tup)) for tup in tuples)
+
+    return OplusCounterexample(family(tuples_a), family(tuples_b), n)
 
 
 # -- F and G ---------------------------------------------------------------
@@ -308,8 +269,8 @@ INFINITE = inf
 @dataclass(frozen=True)
 class FEstimate:
     s: int
-    lower_bound: int  # exact: counterexamples certify every smaller n fails
-    upper_bound: int  # budget-relative unless exact
+    lower_bound: int  # counterexamples certify every smaller n fails
+    upper_bound: int  # F itself when exact, else the analytic bound
     exact: bool
     analytic_bound: int
     certificates: tuple[OplusCounterexample, ...]  # one per refuted n, ascending
@@ -321,21 +282,26 @@ def analytic_f_bound(t: Template, s: int) -> int:
     return predicate_count(t, t.stabilization_level(s)) + 1
 
 
-def F_estimate(t: Template, s: int, budget: SearchBudget) -> FEstimate:
-    """Least n at which no agreement counterexample is found, with exact
-    lower-bound certificates for every smaller n."""
+def F_estimate(t: Template, s: int, budget=None) -> FEstimate:
+    """Least n at which the agreement test finds no counterexample, with a
+    certificate for every smaller n.  When a node bound stops the test at
+    n, F lies between n and the analytic bound (sound on a valid template)
+    and exact is False.  The loop ends by predicate_count(t, prefix) + 1,
+    where only complete levels are left from the coverage level on.
+    budget is accepted and ignored, so callers of the sampled search that
+    preceded this one keep working."""
     if s < 1:
         raise InputError(f"count must be >= 1, got {s}")
     if t.is_complete():
         return FEstimate(s, 0, 0, True, 0, ())
     bound = analytic_f_bound(t, s)
     certs = []
-    for n in range(bound + 1):
-        res = oplus_test(t, s, n, budget)
+    for n in count():
+        res = oplus_test(t, s, n)
         if res.counterexample is None:
-            return FEstimate(s, n, n, res.analytic, bound, tuple(certs))
+            upper = n if res.exhaustive else bound
+            return FEstimate(s, n, upper, res.exhaustive, bound, tuple(certs))
         certs.append(res.counterexample)
-    return FEstimate(s, bound, bound, True, bound, tuple(certs))
 
 
 @dataclass(frozen=True)
@@ -357,21 +323,23 @@ def analytic_g_lower(t: Template, n: int) -> int:
     return lo
 
 
-def G_estimate(t: Template, n: int, budget: SearchBudget, s_cap: int = 8) -> GEstimate:
+def G_estimate(t: Template, n: int, budget=None, s_cap: int = 8) -> GEstimate:
     """Largest s whose agreement test at n finds no counterexample, capped
-    at s_cap; infinite on complete templates."""
+    at s_cap; infinite on complete templates.  Exact when s + 1 was refuted
+    and no node bound stopped a test on the way.  budget is ignored, as in
+    F_estimate."""
     if n < 0:
-        raise InputError("need s >= 1 and n >= 0")
+        raise InputError(f"need n >= 0, got {n}")
     if t.is_complete():
         return GEstimate(n, INFINITE, True, s_cap, None)
     lower = analytic_g_lower(t, n)
-    value = 0
+    exhaustive = True
     for s in range(1, s_cap + 1):
-        res = oplus_test(t, s, n, budget)
+        res = oplus_test(t, s, n)
         if res.counterexample is not None:
-            return GEstimate(n, max(value, lower), value >= lower, lower, res.counterexample)
-        value = s
-    return GEstimate(n, max(value, lower), False, lower, None)
+            return GEstimate(n, s - 1, exhaustive, lower, res.counterexample)
+        exhaustive = exhaustive and res.exhaustive
+    return GEstimate(n, s_cap, False, lower, None)
 
 
 def analytic_g_table(t: Template, n_max: int) -> list[Union[int, float]]:

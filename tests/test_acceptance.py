@@ -19,7 +19,6 @@ from hypertemplate.signature import (
     F_estimate,
     G_estimate,
     ParamType,
-    SearchBudget,
     analytic_f_bound,
     analytic_g_table,
     family_consistent,
@@ -258,23 +257,22 @@ def bottleneck_template() -> Template:
 
 
 def test_criterion_5_signature_machinery():
-    budget = SearchBudget(stem_depth=3, families=300, seed=0)
     complete = complete_template(3, 3)
     ok = True
     notes = []
     for s in range(1, 6):
-        est = F_estimate(complete, s, budget)
+        est = F_estimate(complete, s)
         if not (est.exact and est.upper_bound == 0):
             ok = False
             notes.append(f"F({s}) != 0 exact")
     for n in range(0, 11):
-        est = G_estimate(complete, n, budget)
+        est = G_estimate(complete, n)
         if not (est.exact and est.value == inf):
             ok = False
             notes.append(f"G({n}) != inf exact")
 
     t = bottleneck_template()
-    est = F_estimate(t, 2, budget)
+    est = F_estimate(t, 2)
     if est.upper_bound > est.analytic_bound or est.analytic_bound != analytic_f_bound(t, 2):
         ok = False
         notes.append("upper bound exceeds analytic bound")

@@ -1,76 +1,41 @@
-"""The agreement test decides only the levels its reach bound leaves open:
-a differential test against the loop that draws and scans every level, and
-the one-pass analytic capacity table against its per-n definition."""
+"""The exact agreement test against the brute force, which scans every
+level of every pair of families, and against the sampled search, every
+refutation of which is exact; and the one-pass analytic capacity table
+against its per-n definition."""
 
 from itertools import combinations
-from random import Random
+from math import prod
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from hypertemplate import signature
-from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph
+from hypertemplate.oracle import SearchBudget, naive_oplus_test, sampled_oplus_test
 from hypertemplate.signature import (
     F_estimate,
     G_estimate,
-    OplusCounterexample,
     OplusResult,
-    ParamType,
-    SearchBudget,
-    _sample_matching,
-    _sample_stems,
     analytic_f_bound,
     analytic_g_lower,
     analytic_g_table,
-    coverage_level,
+    f_signature,
+    family_consistent,
     oplus_test,
-    predicate_count,
 )
 from hypertemplate.template import TailPolicy, Template
-from hypertemplate.tree import _scan_levels
-
-
-def reference_oplus_test(t, s, n, budget):
-    """The agreement test before it skipped levels: every family is drawn,
-    and scanned on every stem level."""
-    if s < 1 or n < 0:
-        raise InputError("need s >= 1 and n >= 0")
-    analytic = t.is_complete() or analytic_f_bound(t, s) <= n
-    sizes = [t.level_size(l) for l in range(budget.stem_depth)]
-    graphs = t._level_graphs(budget.stem_depth)  # past the stems 0 is a witness
-    lc = coverage_level(t, n)
-    rng = Random(budget.seed)
-    tried = 0
-    for _ in range(budget.families):
-        tried += 1
-        fam_a = tuple(_sample_stems(sizes, t.arity - 1, rng) for _ in range(s))
-        if not _scan_levels(graphs, fam_a).consistent:
-            continue
-        fam_b = []
-        for stems in fam_a:
-            first = n - 1 - predicate_count(t, lc)  # least level-lc rank of index >= n
-            match = _sample_matching(stems, first, sizes, lc, rng, budget.resamples)
-            if match is None:
-                break
-            fam_b.append(match)
-        if len(fam_b) != s:
-            continue
-        if not _scan_levels(graphs, fam_b).consistent:
-            fam_a, fam_b = (tuple(ParamType(stems=st) for st in fam) for fam in (fam_a, fam_b))
-            return OplusResult(s, n, False, OplusCounterexample(fam_a, fam_b, n), tried)
-    return OplusResult(s, n, True, None, tried, analytic=analytic)
 
 
 @st.composite
-def templates(draw):
-    """Template(k, levels) with k in 2..4 and 1..3 stored levels of size
-    k-1..6, each complete, empty or random, so that some levels fail the
-    extension property and some pass it at every count."""
-    k = draw(st.integers(2, 4))
+def templates(draw, k_max=4, levels_max=3, size_max=6):
+    """Template(k, levels) with k in 2..k_max and 1..levels_max stored
+    levels of size k-1..size_max, each complete, empty or random, so that
+    some levels fail the extension property and some pass it at every
+    count."""
+    k = draw(st.integers(2, k_max))
     levels = []
-    for _ in range(draw(st.integers(1, 3))):
-        size = draw(st.integers(k - 1, 6))
+    for _ in range(draw(st.integers(1, levels_max))):
+        size = draw(st.integers(k - 1, size_max))
         sets = list(combinations(range(size), k))
         kind = draw(st.sampled_from(["complete", "empty", "random", "random"]))
         if kind == "complete":
@@ -84,27 +49,70 @@ def templates(draw):
     return Template(k, levels, TailPolicy("complete_growing", draw(st.integers(1, 2))))
 
 
+def assert_replays(t, ce, n):
+    """The first family is consistent, the second is not, and each pair of
+    types agrees on the signature up to index n."""
+    assert family_consistent(t, ce.consistent_family)
+    assert not family_consistent(t, ce.inconsistent_family)
+    for a, b in zip(ce.consistent_family, ce.inconsistent_family, strict=True):
+        depth = len(a.stems[0])
+        assert f_signature(t, a, depth).restrict(n) == f_signature(t, b, depth).restrict(n)
+
+
 class TestAgreementLevels:
-    @settings(max_examples=400, deadline=None)
-    @given(templates(), st.integers(1, 5), st.sampled_from([1, 10]), st.integers(0, 2**16), st.data())
-    def test_matches_scan_of_every_level(self, t, stem_depth, resamples, seed, data):
-        budget = SearchBudget(stem_depth=stem_depth, families=20, resamples=resamples, seed=seed)
+    @settings(max_examples=250, deadline=None)
+    @given(templates(k_max=3, levels_max=2, size_max=4), st.data())
+    def test_matches_scan_of_every_level(self, t, data):
+        # the brute force walks every type with stems down to the prefix:
+        # keep it to at most 16 (k-1)-tuples of stems
+        stems = prod(t.level_size(l) for l in range(t.prefix_len))
+        if stems ** (t.arity - 1) > (16 if t.arity == 3 else 9):
+            t = Template(t.arity, t.levels[:1], t.tail)
+        s = data.draw(st.integers(1, 3 if t.arity == 2 else 2), label="s")
+        n = data.draw(st.integers(0, analytic_f_bound(t, s) + 1), label="n")
+        res = oplus_test(t, s, n)
+        assert res.exhaustive and res.families_tried == 0
+        assert (res.counterexample is None) == (naive_oplus_test(t, s, n) is None)
+        if res.counterexample is not None:
+            assert_replays(t, res.counterexample, n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        templates(),
+        st.integers(1, 5),
+        st.sampled_from([(20, 10), (300, 50)]),  # the signature workload's and the old CLI default
+        st.integers(0, 2**16),
+        st.data(),
+    )
+    def test_every_sampled_refutation_is_exact(self, t, stem_depth, draws, seed, data):
+        families, resamples = draws
+        budget = SearchBudget(stem_depth=stem_depth, families=families, resamples=resamples, seed=seed)
         s = data.draw(st.integers(1, 4), label="s")
         n = data.draw(st.integers(0, analytic_f_bound(t, s) + 1), label="n")
-        assert oplus_test(t, s, n, budget) == reference_oplus_test(t, s, n, budget)
-        got = F_estimate(t, s, budget), G_estimate(t, n, budget, s_cap=4)
-        with mock.patch.object(signature, "oplus_test", reference_oplus_test):
-            assert got == (F_estimate(t, s, budget), G_estimate(t, n, budget, s_cap=4))
+        sampled, _tried = sampled_oplus_test(t, s, n, budget)
+        res = oplus_test(t, s, n)
+        if sampled is not None:
+            assert res.counterexample is not None
+        if res.counterexample is not None:
+            assert_replays(t, res.counterexample, n)
+        # F is the least n that holds, since refutations carry down to smaller n
+        F = F_estimate(t, s)
+        assert F.exact and F.lower_bound == F.upper_bound == len(F.certificates)
+        assert (res.counterexample is None) == (n >= F.lower_bound)
+        # G is the largest s that holds, since refutations carry up to larger s
+        if not t.is_complete():
+            refuted = [c for c in range(1, 5) if oplus_test(t, c, n).counterexample is not None]
+            G = G_estimate(t, n, s_cap=4)
+            assert (G.value, G.exact) == ((refuted[0] - 1, True) if refuted else (4, False))
 
     def test_returns_without_drawing_when_no_level_can_fail(self):
         # level 0 is complete; on level 1 (no edges) a vertex's witness mask
         # is itself, so one complement misses a vertex: no level can fail at
-        # s = 1, and no family is drawn
+        # s = 1, and the test returns without a cover search
         t = Template(2, [(Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)]), 1), (Hypergraph(2, 4), 1)])
-        budget = SearchBudget(stem_depth=3, families=40, resamples=10, seed=5)
-        with mock.patch.object(signature, "_sample_stems", side_effect=AssertionError("drew")):
-            assert oplus_test(t, 1, 0, budget) == OplusResult(1, 0, True, None, 40)
-        assert oplus_test(t, 1, 0, budget) == reference_oplus_test(t, 1, 0, budget)
+        with mock.patch.object(Hypergraph, "_cover_search", side_effect=AssertionError("searched")):
+            assert oplus_test(t, 1, 0) == OplusResult(1, 0, True, None)
+        assert sampled_oplus_test(t, 1, 0, SearchBudget(families=40))[0] is None
 
 
 @settings(max_examples=400, deadline=None)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -10,7 +11,7 @@ import hypertemplate
 from hypertemplate import serialization as ser
 from hypertemplate.cli import build_parser, run
 from hypertemplate.errors import InternalConsistencyError
-from hypertemplate.hypergraph import Hypergraph
+from hypertemplate.hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
 from hypertemplate.template import TailPolicy, Template, complete_template, corrupt_level, random_template
 from hypertemplate.theory import FiniteModel, build_random_model
 from hypertemplate.typecheck import PositiveTypeSpec
@@ -166,8 +167,7 @@ class TestExitCodes:
         p.write_text(ser.dump_template(Template(3, [(Hypergraph(3, 4), 1)] * 2)))
         assert run(["oplus", str(p), "--s", "2", "--n", "0"]) == 1
         assert capsys.readouterr() == (
-            "hgt-report 1\nverb oplus\nseed 0\ns 2\nn 0\nfamilies-tried 1\n"
-            "analytic false\nresult counterexample\n",
+            "hgt-report 1\nverb oplus\nseed 0\ns 2\nn 0\nexhaustive true\nresult counterexample\n",
             "",
         )
 
@@ -315,12 +315,12 @@ class TestCloseModelInput:
         assert not out.exists()
 
 
-# (flag, value, message): a search budget below one is an input error
-BAD_BUDGETS = [
-    ("--stem-depth", "0", "stem_depth must be >= 1, got 0"),
-    ("--stem-depth", "-1", "stem_depth must be >= 1, got -1"),
-    ("--families", "-3", "families must be >= 1, got -3"),
-    ("--families", "0", "families must be >= 1, got 0"),
+# (flag, value): the sampled search's options, gone with it
+REMOVED_SEARCH_FLAGS = [
+    ("--stem-depth", "0"),
+    ("--stem-depth", "-1"),
+    ("--families", "-3"),
+    ("--families", "0"),
 ]
 
 
@@ -329,7 +329,7 @@ BAD_BUDGETS = [
 BAD_COUNTS = [
     ("--F", "0", "count must be >= 1, got 0"),
     ("--F", "-2", "count must be >= 1, got -2"),
-    ("--G", "-1", "need s >= 1 and n >= 0"),
+    ("--G", "-1", "need n >= 0, got -1"),
 ]
 
 
@@ -347,17 +347,48 @@ class TestEstimateCountInput:
         assert not out.exists()
 
 
-class TestSearchBudgetInput:
-    @pytest.mark.parametrize("flag, value, message", BAD_BUDGETS)
+class TestRemovedSearchFlags:
+    @pytest.mark.parametrize("flag, value", REMOVED_SEARCH_FLAGS)
     @pytest.mark.parametrize("verb", [["oplus", "--s", "2", "--n", "3"], ["estimate-fg", "--F", "2", "--G", "1"]])
-    def test_exit_2_without_report(self, verb, flag, value, message, random_file, tmp_path, capsys):
+    def test_argparse_exit_2(self, verb, flag, value, random_file, tmp_path, capsys):
         out = tmp_path / "report.txt"
         argv = [verb[0], random_file, *verb[1:], flag, value, "--out", str(out)]
-        assert run(argv) == 2
-        assert capsys.readouterr() == ("", f"input error: {message}\n")
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
-        assert run(argv[:-2]) == 2
-        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+class TestAgreementReports:
+    @pytest.fixture
+    def seed17_file(self, tmp_path, capsys):
+        p = tmp_path / "t.hgt"
+        argv = ["gen-template", "--arity", "2", "--sizes", "3,4", "--edge-prob", "0.55",
+                "--target-f", "1,1", "--seed", "17", "--out", str(p)]
+        assert run(argv) == 0
+        capsys.readouterr()
+        return str(p)
+
+    def test_refutation_the_sampled_search_missed(self, seed17_file, capsys):
+        # the sampled search printed F-upper 13 here; n = 12, 13 and 14 are
+        # refuted (a brute force over every family agrees) and 15 holds
+        assert run(["oplus", seed17_file, "--s", "2", "--n", "13"]) == 1
+        assert capsys.readouterr().out.endswith("exhaustive true\nresult counterexample\n")
+        assert run(["estimate-fg", seed17_file, "--F", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "F-lower 15\nF-upper 15\nF-exact true\n" in out and out.endswith("result exact\n")
+
+    def test_node_bound_stop_exit_3(self, tmp_path, capsys):
+        # check_extension_property(6) stops at the node bound on level 1
+        dense = random_hypergraph(3, 40, 0.7, Random(1))
+        t = Template(3, [(complete_hypergraph(3, 3), 3), (dense, 1)])
+        p = tmp_path / "t.hgt"
+        p.write_text(ser.dump_template(t))
+        assert run(["oplus", str(p), "--s", "6", "--n", "0"]) == 3
+        assert capsys.readouterr().out == (
+            "hgt-report 1\nverb oplus\nseed 0\ns 6\nn 0\nexhaustive false\nresult holds\n"
+        )
 
 
 class TestEntryPoints:

@@ -368,6 +368,68 @@ class TestExtensionProperty:
             Hypergraph(3, 4).check_extension_property(0)
 
 
+def naive_window_holds(h, t, start):
+    """Walk every choice of t (k-1)-tuples (with repetition) and look for
+    one with no common witness where some vertex forms an edge with a window
+    replacement of each tuple, testing edges with is_edge alone."""
+    lo = max(start, 0)
+
+    def window(tup):
+        return itertools.product(*((v,) if v < start else range(lo, h.size) for v in tup))
+
+    tuples = list(itertools.product(range(h.size), repeat=h.arity - 1))
+    for choice in itertools.combinations_with_replacement(tuples, t):
+        if naive_extension_witness(h, choice) is None and any(
+            all(any(h.is_edge((s,) + r) for r in window(tup)) for tup in choice)
+            for s in range(h.size)
+        ):
+            return False
+    return True
+
+
+class TestWindowExtension:
+    @given(
+        st.integers(2, 3),
+        st.integers(1, 5),
+        st.sampled_from([0.3, 0.6, 0.85]),
+        st.integers(0, 2**31),
+        st.integers(1, 3),
+        st.integers(-1, 5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_walk_of_every_choice(self, arity, size, p, seed, t, start):
+        h = random_hypergraph(arity, size, p, Random(seed))
+        chk = h.check_window_extension(t, start)
+        assert chk.exhaustive and chk.holds == naive_window_holds(h, t, start)
+        if start <= 0:
+            assert chk == h.check_extension_property(t)
+        if not chk.holds:
+            ce = chk.counterexample
+            assert len(ce) <= t and naive_extension_witness(h, ce) is None
+            moved = h._window_replacements(ce, start)
+            assert naive_extension_witness(h, moved) is not None
+            for tup, r in zip(ce, moved, strict=True):
+                assert all(u == v if v < start else u >= start for v, u in zip(tup, r, strict=True))
+
+    def test_one_node_bound_for_every_vertex(self, monkeypatch):
+        # four vertex searches visit 6, 0, 3 and 4 nodes: a bound of 12 stops
+        # the last one, though no one search reaches it
+        h = random_hypergraph(3, 6, 0.6, Random(5))
+        counters = []
+        search = Hypergraph._cover_search
+
+        def spy(self, t, setup, span, nodes):
+            counters.append(nodes)
+            return search(self, t, setup, span, nodes)
+
+        monkeypatch.setattr(Hypergraph, "_cover_search", spy)
+        assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, True, None, 2)
+        assert len(counters) == 4 and all(c is counters[0] for c in counters)
+        assert counters[0] == [13]
+        monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 12)
+        assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, False)
+
+
 class TestConstruction:
     def test_bad_uniform_edge_rejected(self):
         with pytest.raises(InputError):

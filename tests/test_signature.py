@@ -5,12 +5,12 @@ import pytest
 
 from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
-from hypertemplate.template import TailPolicy, Template, complete_template
+from hypertemplate.template import TailPolicy, Template, complete_template, random_template, validate
+from hypertemplate.oracle import SearchBudget, sampled_oplus_test
 from hypertemplate.signature import (
     F_estimate,
     G_estimate,
     ParamType,
-    SearchBudget,
     analytic_f_bound,
     analytic_g_lower,
     analytic_g_table,
@@ -158,20 +158,21 @@ class TestOplus:
             SearchBudget(**{field: value})
 
     def test_coverage_past_stem_depth_keeps_base(self):
-        # lc >= stem_depth: nothing is left to draw, so the match is base itself
+        # the sampled search at lc >= stem_depth: nothing is left to draw,
+        # so the match is base itself and every family is tried
         t = bottleneck_template()
         assert coverage_level(t, 200) >= 2
-        res = oplus_test(t, 1, 200, SearchBudget(stem_depth=2, families=20))
-        assert res.counterexample is None and res.families_tried == 20
+        assert sampled_oplus_test(t, 1, 200, SearchBudget(stem_depth=2, families=20)) == (None, 20)
+        assert oplus_test(t, 1, 200).counterexample is None
 
     def test_complete_template_holds_analytically(self):
         t = complete_template(3, 3)
-        res = oplus_test(t, 2, 0, SearchBudget(families=50))
-        assert res.counterexample is None and res.analytic
+        res = oplus_test(t, 2, 0)
+        assert res.counterexample is None and res.exhaustive
 
     def test_bottleneck_counterexample_at_low_n(self):
         t = bottleneck_template()
-        res = oplus_test(t, 2, 0, SearchBudget(families=200))
+        res = oplus_test(t, 2, 0)
         assert res.counterexample is not None
         ce = res.counterexample
         assert family_consistent(t, ce.consistent_family)
@@ -181,45 +182,43 @@ class TestOplus:
         # a counterexample at n also refutes every smaller n (families agree
         # on the shorter prefix a fortiori)
         t = bottleneck_template()
-        budget = SearchBudget(families=200)
-        hi = oplus_test(t, 2, 1, budget)
+        hi = oplus_test(t, 2, 1)
         assert hi.counterexample is not None
-        lo = oplus_test(t, 2, 0, budget)
+        lo = oplus_test(t, 2, 0)
         assert lo.counterexample is not None
 
     def test_holds_past_analytic_bound(self):
         t = bottleneck_template()
         n = analytic_f_bound(t, 2)
-        res = oplus_test(t, 2, n, SearchBudget(families=100))
-        assert res.counterexample is None and res.analytic
+        res = oplus_test(t, 2, n)
+        assert res.counterexample is None and res.exhaustive
 
 
 class TestFandG:
     def test_complete_template_F_zero(self):
         t = complete_template(3, 3)
         for s in range(1, 6):
-            est = F_estimate(t, s, SearchBudget(families=20))
+            est = F_estimate(t, s)
             assert est.lower_bound == est.upper_bound == 0 and est.exact
 
     def test_complete_template_G_infinite(self):
         t = complete_template(3, 3)
         for n in range(0, 11):
-            est = G_estimate(t, n, SearchBudget(families=20))
+            est = G_estimate(t, n)
             assert est.value == inf and est.exact
 
     @pytest.mark.parametrize("template", [complete_template(3, 2), bottleneck_template()])
     def test_bad_counts_rejected_before_shortcut(self, template):
         # the complete shortcut must not answer for s < 1 or n < 0
-        budget = SearchBudget(families=5)
         for s in (0, -2):
             with pytest.raises(InputError, match=f"count must be >= 1, got {s}"):
-                F_estimate(template, s, budget)
-        with pytest.raises(InputError, match="need s >= 1 and n >= 0"):
-            G_estimate(template, -1, budget)
+                F_estimate(template, s)
+        with pytest.raises(InputError, match="^need n >= 0, got -1$"):
+            G_estimate(template, -1)
 
     def test_bottleneck_F2(self):
         t = bottleneck_template()
-        est = F_estimate(t, 2, SearchBudget(families=300))
+        est = F_estimate(t, 2)
         assert est.lower_bound == 2
         assert est.upper_bound <= est.analytic_bound == analytic_f_bound(t, 2)
         assert len(est.certificates) == 2
@@ -229,14 +228,12 @@ class TestFandG:
 
     def test_F_nondecreasing_in_s(self):
         t = bottleneck_template()
-        budget = SearchBudget(families=300)
-        vals = [F_estimate(t, s, budget).lower_bound for s in (1, 2, 3)]
+        vals = [F_estimate(t, s).lower_bound for s in (1, 2, 3)]
         assert vals == sorted(vals)
 
     def test_G_nondecreasing_in_n(self):
         t = bottleneck_template()
-        budget = SearchBudget(families=200)
-        vals = [G_estimate(t, n, budget, s_cap=4).value for n in range(0, 5)]
+        vals = [G_estimate(t, n, s_cap=4).value for n in range(0, 5)]
         assert vals == sorted(vals)
 
     def test_analytic_g_lower_sound(self):
@@ -249,6 +246,37 @@ class TestFandG:
         assert analytic_g_table(complete_template(2, 2), 4) == [inf] * 5
         tab = analytic_g_table(bottleneck_template(), 6)
         assert len(tab) == 7 and tab == sorted(tab)
+
+
+# (arity, level sizes, edge probability, target f): the template shapes of
+# the signature benchmark workload
+SIGNATURE_SHAPES = [
+    (2, (4, 3), 0.6, (1, 2)),
+    (3, (4, 4), 0.7, (1, 2)),
+    (2, (4, 4, 3), 0.65, (2, 1, 2)),
+    (3, (4, 3, 4), 0.75, (1, 1, 2)),
+    (2, (3, 4), 0.55, (1, 1)),
+    (3, (4, 4), 0.8, (2, 1)),
+]
+
+
+class TestAnalyticBounds:
+    @pytest.mark.parametrize("shape", SIGNATURE_SHAPES)
+    def test_exact_values_within_analytic_bounds(self, shape):
+        # on a valid template F(s) <= analytic_f_bound and G(n) >=
+        # analytic_g_lower: a G capped at that lower bound must reach it
+        k, sizes, p, target = shape
+        for seed in range(30):
+            t = random_template(k, sizes, p, target, seed)
+            assert validate(t, t.prefix_len).valid
+            for s in (1, 2, 3):
+                est = F_estimate(t, s)
+                assert est.exact and est.upper_bound <= analytic_f_bound(t, s)
+            if t.is_complete():
+                continue
+            for n in range(analytic_f_bound(t, 2) + 2):
+                lower = analytic_g_lower(t, n)
+                assert G_estimate(t, n, s_cap=lower).value == lower
 
 
 class TestMStarInteraction:

@@ -1,28 +1,36 @@
 """The closed-form signature against the enumeration oracle, and a pin on
-the agreement test's random draws."""
+the sampled agreement search's random draws (oracle.sampled_oplus_test)."""
 
 import hashlib
+from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 from random import Random
+from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
 from hypertemplate.hypergraph import Hypergraph
-from hypertemplate.oracle import brute_force_positive_type, naive_f_signature
-from hypertemplate.signature import (
-    F_estimate,
-    G_estimate,
-    ParamType,
+from hypertemplate.oracle import (
     SearchBudget,
     _sample_matching,
     _sample_stems,
+    brute_force_positive_type,
+    naive_f_signature,
+    sampled_oplus_test,
+)
+from hypertemplate.signature import (
+    INFINITE,
+    FEstimate,
+    GEstimate,
+    OplusCounterexample,
+    ParamType,
     analytic_f_bound,
+    analytic_g_lower,
     coverage_level,
     equality_patterns,
     family_consistent,
     f_signature,
-    oplus_test,
     predicate_count,
 )
 from hypertemplate.template import TailPolicy, Template, random_template
@@ -138,13 +146,64 @@ class TestAgreementShortcuts:
         assert rng.getstate() == ref_rng.getstate()  # the same draws, in the same order
 
 
+@dataclass(frozen=True)
+class OplusResult:
+    """The record the agreement test returned while it sampled; the pins
+    below hash its repr."""
+
+    s: int
+    n: int
+    holds_up_to_budget: bool
+    counterexample: Optional[OplusCounterexample]
+    families_tried: int
+    analytic: bool = False
+
+
+def sampled_oplus(t, s, n, budget):
+    """oracle.sampled_oplus_test in the sampled test's record: holding was
+    called analytic where the template is complete or n reaches the
+    analytic bound."""
+    ce, tried = sampled_oplus_test(t, s, n, budget)
+    analytic = ce is None and (t.is_complete() or analytic_f_bound(t, s) <= n)
+    return OplusResult(s, n, ce is None, ce, tried, analytic)
+
+
+def sampled_F(t, s, budget):
+    """F as it was estimated over the sampled test."""
+    if t.is_complete():
+        return FEstimate(s, 0, 0, True, 0, ())
+    bound = analytic_f_bound(t, s)
+    certs = []
+    for n in range(bound + 1):
+        res = sampled_oplus(t, s, n, budget)
+        if res.counterexample is None:
+            return FEstimate(s, n, n, res.analytic, bound, tuple(certs))
+        certs.append(res.counterexample)
+    return FEstimate(s, bound, bound, True, bound, tuple(certs))
+
+
+def sampled_G(t, n, budget, s_cap):
+    """G as it was estimated over the sampled test, never below the
+    analytic lower bound."""
+    if t.is_complete():
+        return GEstimate(n, INFINITE, True, s_cap, None)
+    lower = analytic_g_lower(t, n)
+    value = 0
+    for s in range(1, s_cap + 1):
+        res = sampled_oplus(t, s, n, budget)
+        if res.counterexample is not None:
+            return GEstimate(n, max(value, lower), value >= lower, lower, res.counterexample)
+        value = s
+    return GEstimate(n, max(value, lower), False, lower, None)
+
+
 def _pinned(t, seed):
-    """Everything the agreement test reports on one template and seed; the
+    """Everything the sampled search reports on one template and seed; the
     certificates enter through a digest of their repr."""
     budget = SearchBudget(stem_depth=3, families=30, resamples=10, seed=seed)
-    F = F_estimate(t, 2, budget)
-    G = G_estimate(t, 1, budget, s_cap=3)
-    ops = [oplus_test(t, 2, n, budget) for n in range(5)]
+    F = sampled_F(t, 2, budget)
+    G = sampled_G(t, 1, budget, s_cap=3)
+    ops = [sampled_oplus(t, 2, n, budget) for n in range(5)]
     certs = (F.certificates, G.certificate, tuple(r.counterexample for r in ops))
     return (
         (F.lower_bound, F.upper_bound, F.exact, F.analytic_bound, len(F.certificates)),
@@ -165,7 +224,7 @@ PINNED_TEMPLATES = {
 }
 
 # Recorded before signatures were computed in closed form: any change to
-# the order or the arguments of the agreement test's random draws shows here.
+# the order or the arguments of the sampled search's random draws shows here.
 PINNED = {
     ("k2-bottleneck", 0): ((4, 4, False, 5, 4), (1, True, 1, True), ((False, 7, False), (False, 7, False), (False, 10, False), (False, 10, False), (True, 30, False)), "a3923a11630d5cb6"),
     ("k2-bottleneck", 1): ((4, 4, False, 5, 4), (1, True, 1, True), ((False, 3, False), (False, 3, False), (False, 8, False), (False, 4, False), (True, 30, False)), "05e9f7fd6c005aba"),
@@ -197,7 +256,7 @@ WIDE_PIN = "ba9fcf04f4f9ed40155fdb7de8f0c539b261a9420a667cc6f54730adf3573386"
 
 
 def _wide_results(k, seed):
-    """F, G and every oplus_test result from n = 0 to analytic_f_bound + 1
+    """F, G and every sampled result from n = 0 to analytic_f_bound + 1
     (so the coverage level passes the stem depth), for s = 1..3, stem depths
     1..5 (below m* + 1 and past the stored prefix) and resamples 1 and 10."""
     sizes, p, target = WIDE_SHAPES[k]
@@ -208,9 +267,9 @@ def _wide_results(k, seed):
         for resamples in (1, 10):
             budget = SearchBudget(stem_depth=stem_depth, families=10, resamples=resamples, seed=seed)
             for s in (1, 2, 3):
-                out.append(F_estimate(t, s, budget))
-                out.extend(oplus_test(t, s, n, budget) for n in range(analytic_f_bound(t, s) + 2))
-            out.extend(G_estimate(t, n, budget, s_cap=3) for n in range(analytic_f_bound(t, 2) + 2))
+                out.append(sampled_F(t, s, budget))
+                out.extend(sampled_oplus(t, s, n, budget) for n in range(analytic_f_bound(t, s) + 2))
+            out.extend(sampled_G(t, n, budget, 3) for n in range(analytic_f_bound(t, 2) + 2))
     return out
 
 

@@ -6,11 +6,11 @@ by definition.  Witness masks come from one completion table, built in
 one pass over the edges when the first mask is needed and kept for the
 level's lifetime.  The extension property is decided exactly, by a search
 for a smallest cover of the vertex set by complements of witness masks,
-within a bound on the nodes it visits.  The search's set-up is kept per
+within a bound on the nodes it visits.  Its set-up (_setup) is kept per
 level and mode (with or without a span) as well, so repeated checks on a
 level pay only for the search.  The same search, run once per vertex over
-the tuples whose window replacements can reach it, decides the window
-variant on which the agreement test rests.
+the tuples whose window replacements can reach it, below the smallest
+cover so far, decides the window variant the agreement test rests on.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ class ExtensionCheck:
     ``counterexample`` is a smallest list of (k-1)-tuples with no common
     witness (among lists within the check's span of vertices, if it has
     one), so every such choice of fewer tuples has one.  ``exhaustive`` is
-    False when the node bound stopped the search first, in which case
-    ``holds`` means "no counterexample found", not a proof.  ``proven`` is
-    the largest count up to t for which the property is proven.
+    False when the node bound stopped a search: ``holds`` then means "none
+    found", not a proof, and a window check's counterexample may not be
+    smallest.  ``proven`` is the largest count up to t proven to hold.
     """
 
     holds: bool
@@ -177,8 +177,8 @@ class Hypergraph:
     def _reach_proves(self, t: int, span: Optional[int] = None) -> bool:
         """True when no t complements of witness masks cover the vertex set,
         so every t (k-1)-tuples have a common witness; always on a complete
-        level.  Reads the reach bound of the kept cover-search set-up for
-        the mode, building the set-up's first part on the first call."""
+        level.  Reads the reach bound of the mode's cover-search set-up,
+        which the first call builds whole and the level keeps."""
         setup = self._cover.get(span is None)
         if setup is None:
             full = (1 << self.size) - 1
@@ -192,8 +192,7 @@ class Hypergraph:
                 if m != full and (span is not None or m not in seen):
                     seen.add(m)
                     rows.append((m, tup))
-            # supports and by_vertex wait for a call that gets past reach
-            setup = self._cover[span is None] = (*_by_size(full, rows), None, None)
+            setup = self._cover[span is None] = _setup(self.size, rows, span)
         reach = setup[0]
         return reach[min(t, len(reach) - 1)] < self.size
 
@@ -204,26 +203,19 @@ class Hypergraph:
 
         Tuples lack one exactly when the complements of their witness masks
         cover the vertex set, so this searches for a smallest cover by at
-        most t complements (_cover_search).  Without span it offers one
-        inclusion-maximal complement per distinct mask (a cover may trade
-        any other for one containing it); with span, one complement per
-        (k-1)-set, taken only while the chosen sets stay within span
-        vertices.  Masks come from the completion table and leave the
-        witness_mask memo alone.  The set-up is kept on the level per mode:
-        the complements by size and the bound on what j of them can cover
-        from the first call (through _reach_proves, which tests that bound
-        first), the maximality filter or supports and the per-vertex lists
-        from the first call that gets past that bound.  The search, its
-        node count and its result stay per call."""
+        most t complements (_cover_search).  Without span it offers the
+        inclusion-maximal complements, one per mask (a cover may trade any
+        other for one containing it); with span, one per (k-1)-set, taken
+        only while the chosen sets stay within span vertices.  Masks come
+        from the completion table and leave the witness_mask memo alone.
+        The set-up (_setup) is kept on the level per mode from the first
+        call, which tests its reach bound first (_reach_proves); the search,
+        its node count and its result stay per call."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         if self._reach_proves(t, span):
             return ExtensionCheck(True, True, proven=t)
-        setup = self._cover[span is None]
-        if setup[-1] is None:  # the first search on this level and mode
-            # reach still counts every complement, so it bounds the kept ones too
-            setup = self._cover[span is None] = (setup[0], *_index(self.size, *setup[1:3], span))
-        return self._cover_search(t, setup, span, [0])
+        return self._cover_search(t, self._cover[span is None], span, [0])
 
     def check_window_extension(self, t: int, start: int) -> ExtensionCheck:
         """Check that every choice of t (k-1)-tuples has a common witness
@@ -238,7 +230,9 @@ class Hypergraph:
         choice qualifies, so this is check_extension_property; with start
         >= size no choice does.  Otherwise, for each vertex w, the cover
         search runs over the tuples whose window mask holds w (once per
-        distinct set of such masks), all under one node bound."""
+        distinct set of such masks), all under one node bound, for at most
+        one tuple fewer than the smallest cover so far; a single tuple
+        always has a witness among its own vertices."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         if start <= 0:
@@ -252,6 +246,7 @@ class Hypergraph:
         ]
         nodes = [0]  # shared by every vertex's search
         searched: set[frozenset[int]] = set()
+        best, exhaustive, proven = None, True, t  # proven is also the cap
         for w in range(self.size):
             seen: dict[int, tuple[int, ...]] = {}
             for m, window, tup in rows:
@@ -261,15 +256,14 @@ class Hypergraph:
             if key in searched:
                 continue
             searched.add(key)
-            reach, comps, tuples = _by_size(full, list(seen.items()))
-            if reach[min(t, len(reach) - 1)] < self.size:
-                continue
-            chk = self._cover_search(t, (reach, *_index(self.size, comps, tuples, None)), None, nodes)
-            if not chk.holds:
-                return chk
-            if not chk.exhaustive:  # the vertices not yet searched prove nothing
-                return ExtensionCheck(True, False)
-        return ExtensionCheck(True, True, proven=t)
+            # past a stop every search stops at once, proving what reach proves
+            chk = self._cover_search(proven, _setup(self.size, list(seen.items()), None), None, nodes)
+            exhaustive = exhaustive and chk.exhaustive
+            best = chk.counterexample or best
+            proven = chk.proven
+            if proven < 2:
+                break
+        return ExtensionCheck(best is None, exhaustive, best, proven)
 
     def _window(self, tup: tuple[int, ...], start: int) -> Iterable[tuple[int, ...]]:
         """The window replacements of tup, in product order."""
@@ -348,31 +342,29 @@ class Hypergraph:
         return ExtensionCheck(True, True, proven=t)
 
 
-def _by_size(full: int, rows: list[tuple[int, tuple[int, ...]]]) -> tuple[list[int], list[int], list]:
-    """The first part of a cover-search set-up from (mask, tuple) rows: the
-    complements, largest first (ties keep row order), their tuples, and
-    reach, where no j complements cover more than reach[j] vertices."""
+def _setup(size: int, rows: list[tuple[int, tuple[int, ...]]], span: Optional[int]) -> tuple:
+    """A cover-search set-up from (mask, tuple) rows: reach, where no j
+    complements cover more than reach[j] vertices; the complements, largest
+    first (ties keep row order), without span only the inclusion-maximal
+    ones; their tuples; their tuples' vertices as supports; and per vertex
+    the indices of the complements holding it."""
+    full = (1 << size) - 1
     rows.sort(key=lambda row: row[0].bit_count())
-    comps = [full ^ m for m, _ in rows]
-    reach = list(accumulate(map(int.bit_count, comps), initial=0))
-    return reach, comps, [tup for _, tup in rows]
-
-
-def _index(size: int, comps: list[int], tuples: list, span: Optional[int]) -> tuple:
-    """The rest of a cover-search set-up: without span the inclusion-maximal
-    complements (supersets come first) with zero supports, with span every
-    complement with its tuple's vertices as support; then, per vertex, the
-    indices of the sets that hold it."""
-    if span is None:
-        sets, kept = [], []
-        for c, tup in zip(comps, tuples):
-            if all(c & s != c for s in sets):
-                sets.append(c)
-                kept.append(tup)
-        supports = [0] * len(sets)
-    else:
-        sets, kept, supports = comps, tuples, [sum(1 << v for v in tup) for tup in tuples]
-    return sets, kept, supports, [[i for i, c in enumerate(sets) if c >> v & 1] for v in range(size)]
+    reach = list(accumulate(((full ^ m).bit_count() for m, _ in rows), initial=0))  # dropped ones too
+    comps, tuples, supports = [], [], []
+    by_vertex, holders = [[] for _ in range(size)], [0] * size  # holders: by_vertex as bits
+    for m, tup in rows:
+        c = full ^ m
+        vertices = [v for v in range(size) if c >> v & 1]
+        if span is None and reduce(and_, [holders[v] for v in vertices]):
+            continue  # a larger complement holds c, and a cover may trade c for it
+        for v in vertices:
+            by_vertex[v].append(len(comps))
+            holders[v] |= 1 << len(comps)
+        comps.append(c)
+        tuples.append(tup)
+        supports.append(sum(1 << v for v in tup))
+    return reach, comps, tuples, supports, by_vertex
 
 
 def _completion_table(edges: Iterable[frozenset[int]]) -> dict[int, int]:

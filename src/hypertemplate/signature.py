@@ -93,12 +93,7 @@ def predicate_enumeration(t: Template, depth: int) -> list[Stem]:
 
 def predicate_count(t: Template, depth: int) -> int:
     """Number of enumerated predicates of length <= depth."""
-    total = 0
-    prod = 1
-    for n in range(1, depth + 1):
-        prod *= t.level_size(n - 1)
-        total += prod
-    return total
+    return sum(accumulate((t.level_size(l) for l in range(depth)), mul))
 
 
 def coverage_level(t: Template, n: int) -> int:
@@ -227,23 +222,36 @@ def oplus_test(t: Template, s: int, n: int) -> OplusResult:
     which gives the least start.  A counterexample therefore exists exactly
     when some stored level past lc fails the extension property for s
     tuples, or level lc fails check_window_extension(s, start); tail levels
-    are complete and never fail.  The certificate is built from the failing
-    level's tuples (see _certificate)."""
+    are complete and never fail.  _agreement_scan runs those checks, and the
+    certificate is built from the smallest failing list (see _certificate)."""
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
+    found, proven = _agreement_scan(t, n, s)
+    if found is None:
+        return OplusResult(s, n, proven == INFINITE, None)
+    return OplusResult(s, n, True, _certificate(t, s, n, *found))
+
+
+def _agreement_scan(t: Template, n: int, cap: Optional[int] = None):
+    """oplus_test's check per level from the coverage level of n on, for at
+    most cap tuples (with no cap, the level's count of (k-1)-tuples), each
+    cover of c tuples lowering cap to c - 1.  Returns the first level with
+    the smallest cover, its window replacements and tuples, or None; and
+    the least count a stopped check proved, INFINITE when none stopped."""
     lc = coverage_level(t, n)
     sizes = [t.level_size(l) for l in range(lc + 1)]
     start = n - 1 - predicate_count(t, lc) - (prod(sizes[:lc]) - 1) * sizes[lc]
-    exhaustive = True
+    found, proven = None, INFINITE
     for l in range(lc, t.prefix_len):
         h = t._graphs[l]
         window = start if l == lc else 0
-        chk = h.check_window_extension(s, window)
+        chk = h.check_window_extension(h.size ** (h.arity - 1) if cap is None else cap, window)
+        if not chk.exhaustive:
+            proven = min(proven, chk.proven)
         if not chk.holds:
             ce = chk.counterexample
-            return OplusResult(s, n, True, _certificate(t, s, n, l, h._window_replacements(ce, window), ce))
-        exhaustive = exhaustive and chk.exhaustive
-    return OplusResult(s, n, exhaustive, None)
+            found, cap = (l, h._window_replacements(ce, window), ce), len(ce) - 1
+    return found, proven
 
 
 def _certificate(t: Template, s: int, n: int, level: int, tuples_a, tuples_b) -> OplusCounterexample:
@@ -292,8 +300,6 @@ def F_estimate(t: Template, s: int, budget=None) -> FEstimate:
     preceded this one keep working."""
     if s < 1:
         raise InputError(f"count must be >= 1, got {s}")
-    if t.is_complete():
-        return FEstimate(s, 0, 0, True, 0, ())
     bound = analytic_f_bound(t, s)
     certs = []
     for n in count():
@@ -307,7 +313,7 @@ def F_estimate(t: Template, s: int, budget=None) -> FEstimate:
 @dataclass(frozen=True)
 class GEstimate:
     n: int
-    value: Union[int, float]  # INFINITE on the analytic path
+    value: Union[int, float]  # INFINITE when no count fails
     exact: bool
     analytic_lower: int
     certificate: Optional[OplusCounterexample]  # refutes value + 1 when present
@@ -323,23 +329,20 @@ def analytic_g_lower(t: Template, n: int) -> int:
     return lo
 
 
-def G_estimate(t: Template, n: int, budget=None, s_cap: int = 8) -> GEstimate:
-    """Largest s whose agreement test at n finds no counterexample, capped
-    at s_cap; infinite on complete templates.  Exact when s + 1 was refuted
-    and no node bound stopped a test on the way.  budget is ignored, as in
-    F_estimate."""
+def G_estimate(t: Template, n: int, budget=None, s_cap=None) -> GEstimate:
+    """Largest s whose agreement test at n holds, from one uncapped
+    _agreement_scan: one less than the smallest failing count, INFINITE when
+    none fails, or, when a node bound stopped a check and none fails, the
+    largest count every check proved.  Exact when no check stopped below the
+    value.  budget and s_cap are accepted and ignored, as in F_estimate."""
     if n < 0:
         raise InputError(f"need n >= 0, got {n}")
-    if t.is_complete():
-        return GEstimate(n, INFINITE, True, s_cap, None)
     lower = analytic_g_lower(t, n)
-    exhaustive = True
-    for s in range(1, s_cap + 1):
-        res = oplus_test(t, s, n)
-        if res.counterexample is not None:
-            return GEstimate(n, s - 1, exhaustive, lower, res.counterexample)
-        exhaustive = exhaustive and res.exhaustive
-    return GEstimate(n, s_cap, False, lower, None)
+    found, proven = _agreement_scan(t, n)
+    if found is None:
+        return GEstimate(n, proven, proven == INFINITE, lower, None)
+    c = len(found[2])
+    return GEstimate(n, c - 1, proven >= c - 1, lower, _certificate(t, c, n, *found))
 
 
 def analytic_g_table(t: Template, n_max: int) -> list[Union[int, float]]:

@@ -209,6 +209,8 @@ def close_existentially(
     witness leaves), so closure is deterministic."""
     if param_bound < 1:
         raise InputError("param_bound must be >= 1")
+    if budget < 0:
+        raise InputError(f"budget must be >= 0, got {budget}")
     k = t.arity
     if model.arity != k:
         raise InputError(f"model arity {model.arity} != template arity {k}")

@@ -1,7 +1,7 @@
-"""The exact agreement test against the brute force, which scans every
-level of every pair of families, and against the sampled search, every
-refutation of which is exact; and the one-pass analytic capacity table
-against its per-n definition."""
+"""The exact agreement test, and G over it, against the brute force, which
+scans every level of every pair of families, and against the sampled
+search, every refutation of which is exact; and the one-pass analytic
+capacity table against its per-n definition."""
 
 from itertools import combinations
 from math import prod
@@ -100,10 +100,33 @@ class TestAgreementLevels:
         assert F.exact and F.lower_bound == F.upper_bound == len(F.certificates)
         assert (res.counterexample is None) == (n >= F.lower_bound)
         # G is the largest s that holds, since refutations carry up to larger s
-        if not t.is_complete():
-            refuted = [c for c in range(1, 5) if oplus_test(t, c, n).counterexample is not None]
-            G = G_estimate(t, n, s_cap=4)
-            assert (G.value, G.exact) == ((refuted[0] - 1, True) if refuted else (4, False))
+        G = G_estimate(t, n)
+        assert G.exact
+        if G.value == signature.INFINITE:
+            assert G.certificate is None
+            assert all(oplus_test(t, c, n).counterexample is None for c in range(1, 5))
+        else:
+            assert oplus_test(t, G.value + 1, n).counterexample is not None
+            assert oplus_test(t, G.value, n).counterexample is None
+            assert len(G.certificate.consistent_family) == G.value + 1
+            assert_replays(t, G.certificate, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(templates(k_max=2, levels_max=2, size_max=4), st.data())
+    def test_G_matches_walk_of_every_pair(self, t, data):
+        # the brute force refutes G + 1 and passes G, and with G infinite
+        # passes s = 1..3; it walks every stem: keep them to at most 9
+        stems = prod(t.level_size(l) for l in range(t.prefix_len))
+        if stems > 9:
+            t = Template(t.arity, t.levels[:1], t.tail)
+        n = data.draw(st.integers(0, analytic_f_bound(t, 2) + 1), label="n")
+        G = G_estimate(t, n)
+        assert G.exact
+        if G.value == signature.INFINITE:
+            assert all(naive_oplus_test(t, s, n) is None for s in (1, 2, 3))
+        else:
+            assert naive_oplus_test(t, G.value + 1, n) is not None
+            assert naive_oplus_test(t, G.value, n) is None
 
     def test_returns_without_drawing_when_no_level_can_fail(self):
         # level 0 is complete; on level 1 (no edges) a vertex's witness mask

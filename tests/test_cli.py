@@ -230,7 +230,8 @@ EDGELESS_TEXT = ser.dump_template(Template(3, [(Hypergraph(3, 4), 1)]))
 EMPTY_MODEL_TEXT = ser.dump_model(FiniteModel(3, 1, [], set()))
 LEFT_MODEL_TEXT = ser.dump_model(FiniteModel(3, 1, [(0,), (1,), (2,)], {frozenset({0, 1, 2})}))
 
-# (verb, then each file or None): each must end in exit 2
+# (verb, then each file or None, then optionally a list of options): each
+# must end in exit 2 and write no --out file
 MALFORMED = {
     "tail growth not an integer": (
         "validate-template",
@@ -262,6 +263,9 @@ MALFORMED = {
     "amalgamate whose union fails check_model": (
         "amalgamate", EDGELESS_TEXT, EMPTY_MODEL_TEXT, LEFT_MODEL_TEXT, EMPTY_MODEL_TEXT,
     ),
+    "close-model with a negative budget": (
+        "close-model", TEMPLATE_TEXT, MODEL_TEXT, ["--level", "2", "--budget", "-1"],
+    ),
 }
 
 
@@ -269,15 +273,18 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exit_2_with_one_line(self, case, tmp_path, capsys):
         verb, *texts = MALFORMED[case]
+        options = texts.pop() if isinstance(texts[-1], list) else []
         argv = [verb]
         for i, text in enumerate(texts):
             if text is not None:
                 p = tmp_path / f"input{i}.txt"
                 p.write_text(text)
                 argv.append(str(p))
-        assert run(argv) == 2
+        written = tmp_path / "out.txt"
+        assert run(argv + options + ["--out", str(written)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error: ") and err.count("\n") == 1
+        assert not written.exists()
 
 
 # close-model is run on TEMPLATE_TEXT at --level 2; each model must end in exit 2
@@ -460,6 +467,25 @@ class TestPipelines:
         assert run(["estimate-fg", complete_file, "--F", "2", "--G", "3"]) == 0
         out = capsys.readouterr().out
         assert "F-upper 0" in out and "G-value inf" in out and "result exact" in out
+
+    def test_estimate_fg_complete_analytic_bounds(self, tmp_path, capsys):
+        # no shortcut answers complete templates, so the analytic lines
+        # print analytic_f_bound and analytic_g_lower
+        out = str(tmp_path / "gen.tpl")
+        assert run(["gen-template", "--arity", "3", "--complete", "--prefix", "3", "--out", out]) == 0
+        assert run(["estimate-fg", out, "--F", "2", "--G", "5"]) == 0
+        report = capsys.readouterr().out
+        assert "F-analytic-bound 2\n" in report and "G-analytic-lower 3\n" in report
+
+    def test_estimate_fg_readme_template_G_infinite(self, tmp_path, capsys):
+        # README's round-trip template: no count fails at n = 3
+        out = str(tmp_path / "t.hgt")
+        assert run(["gen-template", "--arity", "3", "--sizes", "4,4,5", "--edge-prob", "0.85",
+                    "--target-f", "1,2,2", "--seed", "7", "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["estimate-fg", out, "--F", "2", "--G", "3"]) == 0
+        report = capsys.readouterr().out
+        assert "G-value inf\nG-exact true\n" in report and report.endswith("result exact\n")
 
     def test_oplus_complete_analytic(self, complete_file, capsys):
         assert run(["oplus", complete_file, "--s", "2", "--n", "0"]) == 0

@@ -270,6 +270,25 @@ class TestExtensionProperty:
         assert naive_extension_witness(h, chk.counterexample) is None
         assert h.check_extension_property(6) == hypergraph.ExtensionCheck(True, True, None, 6)
 
+    def test_maximal_complements_keep_a_check_under_the_node_bound(self):
+        # offering every complement, not only the inclusion-maximal ones,
+        # took this check from 226,157 nodes past the bound of 1,000,000
+        h = random_hypergraph(3, 26, 0.95, Random(268))
+        assert h.check_extension_property(8) == hypergraph.ExtensionCheck(True, True, None, 8)
+
+    @given(st.integers(1, 12), st.lists(st.integers(0, 2**12 - 1), max_size=40, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_setup_keeps_the_inclusion_maximal_complements(self, size, masks):
+        full = (1 << size) - 1
+        masks = [m & full for m in masks]
+        rows = [(m, (i,)) for i, m in enumerate(dict.fromkeys(m for m in masks if m != full))]
+        reach, comps, tuples, supports, by_vertex = hypergraph._setup(size, list(rows), None)
+        every = [full ^ m for m, _ in sorted(rows, key=lambda row: row[0].bit_count())]
+        assert comps == [c for c in every if not any(c != d and c & d == c for d in every)]
+        assert reach[-1] == sum(c.bit_count() for c in every)
+        assert by_vertex == [[i for i, c in enumerate(comps) if c >> v & 1] for v in range(size)]
+        assert hypergraph._setup(size, list(rows), size)[1] == every
+
     def test_node_bound_stop_flagged(self, monkeypatch):
         h = Hypergraph(3, 4)  # fails at t = 2 once the search may visit a node
         monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 0)
@@ -298,13 +317,15 @@ class TestExtensionProperty:
             return chk
 
         # a witness mask holds its own tuple's vertices, so no one complement
-        # covers and t = 1 ends at the reach bound: each mode's set-up is
-        # begun before the first call that searches completes it
-        for span in (None, mode(calls[0][1])):
+        # covers and t = 1 ends at the reach bound, yet it builds the mode's
+        # whole set-up, which every later call in that mode reuses
+        modes = (None, mode(calls[0][1]))
+        for span in modes:
             same_as_cold(1, span)
-            assert h._cover[span is None][-1] is None
+        kept = {span: h._cover[span is None] for span in modes}
         for t, offset in calls:
             same_as_cold(t, mode(offset))
+        assert all(h._cover[span is None] is setup for span, setup in kept.items())
         # a stop on a warm level is not kept: the next call searches in full
         t, span = calls[-1][0], mode(calls[-1][1])
         bound = hypergraph.COVER_SEARCH_NODES
@@ -406,14 +427,25 @@ class TestWindowExtension:
         if not chk.holds:
             ce = chk.counterexample
             assert len(ce) <= t and naive_extension_witness(h, ce) is None
+            # smallest over every vertex: each choice of fewer tuples passes
+            assert len(ce) == 1 or naive_window_holds(h, len(ce) - 1, start)
             moved = h._window_replacements(ce, start)
             assert naive_extension_witness(h, moved) is not None
             for tup, r in zip(ce, moved, strict=True):
                 assert all(u == v if v < start else u >= start for v, u in zip(tup, r, strict=True))
 
+    def test_smallest_cover_over_every_vertex(self):
+        # the first vertex with a cover gives three tuples, (2,4) (3,5) (4,5),
+        # and a later one two; no single tuple lacks a witness
+        h = random_hypergraph(3, 8, 0.5, Random(1))
+        chk = h.check_window_extension(4, 4)
+        assert chk == hypergraph.ExtensionCheck(False, True, ((2, 3), (4, 5)), 1)
+        assert not naive_window_holds(h, 2, 4) and naive_window_holds(h, 1, 4)
+
     def test_one_node_bound_for_every_vertex(self, monkeypatch):
         # four vertex searches visit 6, 0, 3 and 4 nodes: a bound of 12 stops
-        # the last one, though no one search reaches it
+        # the last one, though no one search reaches it; t = 1 stays proven,
+        # since a tuple's own vertices witness it
         h = random_hypergraph(3, 6, 0.6, Random(5))
         counters = []
         search = Hypergraph._cover_search
@@ -427,7 +459,7 @@ class TestWindowExtension:
         assert len(counters) == 4 and all(c is counters[0] for c in counters)
         assert counters[0] == [13]
         monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 12)
-        assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, False)
+        assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, False, None, 1)
 
 
 class TestConstruction:

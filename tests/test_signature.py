@@ -207,9 +207,17 @@ class TestFandG:
             est = G_estimate(t, n)
             assert est.value == inf and est.exact
 
+    def test_G_past_the_stored_prefix_infinite(self):
+        # from the coverage level on only complete tail levels are left
+        t = bottleneck_template()
+        n = predicate_count(t, t.prefix_len + 1) + 1
+        assert coverage_level(t, n) > t.prefix_len
+        est = G_estimate(t, n)
+        assert est.value == inf and est.exact and est.certificate is None
+
     @pytest.mark.parametrize("template", [complete_template(3, 2), bottleneck_template()])
     def test_bad_counts_rejected_before_shortcut(self, template):
-        # the complete shortcut must not answer for s < 1 or n < 0
+        # complete and non-complete templates reject s < 1 and n < 0 alike
         for s in (0, -2):
             with pytest.raises(InputError, match=f"count must be >= 1, got {s}"):
                 F_estimate(template, s)
@@ -264,7 +272,7 @@ class TestAnalyticBounds:
     @pytest.mark.parametrize("shape", SIGNATURE_SHAPES)
     def test_exact_values_within_analytic_bounds(self, shape):
         # on a valid template F(s) <= analytic_f_bound and G(n) >=
-        # analytic_g_lower: a G capped at that lower bound must reach it
+        # analytic_g_lower
         k, sizes, p, target = shape
         for seed in range(30):
             t = random_template(k, sizes, p, target, seed)
@@ -275,8 +283,8 @@ class TestAnalyticBounds:
             if t.is_complete():
                 continue
             for n in range(analytic_f_bound(t, 2) + 2):
-                lower = analytic_g_lower(t, n)
-                assert G_estimate(t, n, s_cap=lower).value == lower
+                est = G_estimate(t, n)
+                assert est.exact and est.value >= analytic_g_lower(t, n)
 
 
 class TestMStarInteraction:

@@ -62,18 +62,22 @@ class Hypergraph:
     __slots__ = ("arity", "size", "uniform_edges", "_table", "_mask_cache", "_cover")
 
     def __init__(self, arity: int, size: int, uniform_edges: Iterable[Iterable[int]] = ()):
+        """The level with these uniform edges, each read once.  All edges
+        are checked at once (the set of their lengths, then the least and
+        greatest vertex of their union); only when that check fails are
+        they walked in input order, so the error names the first bad edge."""
         if arity < 2:
             raise InputError(f"arity must be >= 2, got {arity}")
         if size < 1:
             raise InputError(f"size must be >= 1, got {size}")
-        edges = set()
-        for e in uniform_edges:
-            fs = frozenset(e)
-            if len(fs) != arity:
-                raise InputError(f"uniform edge {sorted(fs)} does not have {arity} distinct vertices")
-            if any(v < 0 or v >= size for v in fs):
-                raise InputError(f"uniform edge {sorted(fs)} has a vertex outside 0..{size - 1}")
-            edges.add(fs)
+        edges = list(map(frozenset, uniform_edges))
+        vertices = frozenset().union(*edges)
+        if set(map(len, edges)) - {arity} or vertices and (min(vertices) < 0 or max(vertices) >= size):
+            for fs in edges:  # name the first bad edge in input order
+                if len(fs) != arity:
+                    raise InputError(f"uniform edge {sorted(fs)} does not have {arity} distinct vertices")
+                if min(fs) < 0 or max(fs) >= size:
+                    raise InputError(f"uniform edge {sorted(fs)} has a vertex outside 0..{size - 1}")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "uniform_edges", frozenset(edges))

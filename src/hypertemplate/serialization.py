@@ -1,17 +1,21 @@
 """Line-oriented text formats with a one-line version header.
 
 Writers emit canonical form (edges sorted lexicographically, stable field
-order), so identical objects serialize to identical bytes.  Readers load
-every dump back to an equal object but accept more than writers produce:
-blank lines, any line break ``str.splitlines`` knows (``\\r\\n`` too), any
-whitespace around the words of a line other than the header, and any
-integer ``int`` reads (``+2``, ``02``, ``0_2``, non-ASCII digits).  The
-dump of such input differs from it.
+order), so identical objects serialize to identical bytes; an edge block is
+sorted once, as rows of sorted vertices.  Readers take each line once: a
+count line's item lines are read in one loop over that many lines, so the
+first malformed one names the error, and only after them does a count past
+the last line end in "unexpected end of file".  Readers load every dump
+back to an equal object but accept more than writers produce: blank lines,
+any line break ``str.splitlines`` knows (``\\r\\n`` too), any whitespace
+around the words of a line other than the header, and any integer ``int``
+reads (``+2``, ``02``, ``0_2``, non-ASCII digits).  The dump of such input
+differs from it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 from .hypergraph import Hypergraph
@@ -39,7 +43,7 @@ class _Lines:
     """The non-blank lines of a text, read in order after its header."""
 
     def __init__(self, text: str, what: str, header: str):
-        self.lines = [l for l in text.splitlines() if l.strip()]
+        self.lines = list(filter(str.strip, text.splitlines()))
         self.pos = 0
         self.what = what
         if self.next() != header:
@@ -69,16 +73,25 @@ class _Lines:
             raise InputError(f"{what}: expected one integer, got {parts}")
         return _ints(parts, what)[0]
 
-    def indexed(self, keyword: str, index: int, count: int, what: str) -> Stem:
-        """The count values after a line's own index."""
-        vals = self.ints(keyword, what)
-        if len(vals) != count + 1 or vals[0] != index:
-            raise InputError(f"{what}: malformed line {index}")
-        return tuple(vals[1:])
+    def items(self, count: int, item: str, what: str) -> Iterator[list[int]]:
+        """The integers after item on each of the next count lines, in one
+        loop over those lines: a malformed line raises before a missing one."""
+        chunk = self.lines[self.pos : self.pos + max(count, 0)]
+        self.pos += len(chunk)
+        try:
+            for line in chunk:
+                parts = line.split()  # never empty: blank lines were dropped
+                if parts[0] != item:
+                    raise InputError(f"{self.what}: expected {item!r}, got {line!r}")
+                yield list(map(int, parts[1:]))
+        except ValueError:
+            raise InputError(f"{what}: expected integers, got {parts[1:]}")
+        if len(chunk) < count:
+            raise InputError(f"{self.what}: unexpected end of file")
 
     def block(self, keyword: str, what: str, item: str, item_what: str) -> list[list[int]]:
         """A count line, then that many item lines of integers."""
-        return [self.ints(item, item_what) for _ in range(self.int(keyword, what))]
+        return list(self.items(self.int(keyword, what), item, item_what))
 
     def done(self) -> None:
         if self.pos != len(self.lines):
@@ -103,7 +116,7 @@ def dump_template(t: Template) -> str:
     out = [TEMPLATE_HEADER, f"arity {t.arity}", f"prefix {len(t.levels)}"]
     for n, (h, f) in enumerate(t.levels):
         out.append(f"level {n} size {h.size} f {f}")
-        _block(out, "edges", "e", sorted(tuple(sorted(e)) for e in h.uniform_edges))
+        _block(out, "edges", "e", sorted(map(sorted, h.uniform_edges)))
     out.append(f"tail {t.tail.kind} {t.tail.growth}")
     return "\n".join(out) + "\n"
 
@@ -137,7 +150,7 @@ def load_template(text: str) -> Template:
 def dump_model(m: FiniteModel) -> str:
     out = [MODEL_HEADER, f"arity {m.arity}", f"level {m.level}", f"elements {len(m.leaves)}"]
     out += [f"el {i} " + " ".join(map(str, leaf)) for i, leaf in enumerate(m.leaves)]
-    _block(out, "edges", "e", sorted(tuple(sorted(e)) for e in m.edges))
+    _block(out, "edges", "e", sorted(map(sorted, m.edges)))
     return "\n".join(out) + "\n"
 
 
@@ -146,7 +159,11 @@ def load_model(text: str) -> FiniteModel:
     arity = ln.int("arity", "model arity")
     level = ln.int("level", "model level")
     count = ln.int("elements", "model element count")
-    leaves = [ln.indexed("el", i, level, "model element") for i in range(count)]
+    leaves = []
+    for i, vals in enumerate(ln.items(count, "el", "model element")):
+        if len(vals) != level + 1 or vals[0] != i:
+            raise InputError(f"model element: malformed line {i}")
+        leaves.append(tuple(vals[1:]))
     edges = set(map(frozenset, ln.block("edges", "model edge count", "e", "model edge")))
     ln.done()
     return FiniteModel(arity, level, leaves, edges)

@@ -315,13 +315,16 @@ class GEstimate:
     n: int
     value: Union[int, float]  # INFINITE when no count fails
     exact: bool
-    analytic_lower: int
+    analytic_lower: Union[int, float]  # INFINITE on a complete template
     certificate: Optional[OplusCounterexample]  # refutes value + 1 when present
 
 
-def analytic_g_lower(t: Template, n: int) -> int:
+def analytic_g_lower(t: Template, n: int) -> Union[int, float]:
     """min f over levels from the coverage level of n on: that many
-    instances survive any agreement-preserving replacement."""
+    instances survive any agreement-preserving replacement.  INFINITE on a
+    complete template, as in analytic_g_table: every count survives there."""
+    if t.is_complete():
+        return INFINITE
     L = coverage_level(t, n)
     lo = t.f_value(t.prefix_len)  # tail arities are nondecreasing
     for l in range(L, t.prefix_len):

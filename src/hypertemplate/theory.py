@@ -82,7 +82,9 @@ def check_model(t: Template, model: FiniteModel) -> tuple[Violation, ...]:
             continue
         if graphs is None:
             graphs = t._level_graphs(model.level)
-        for n, (h, verts) in enumerate(zip(graphs, zip(*(model.leaves[i] for i in idx)))):
+        if all(map(Hypergraph._has, graphs, zip(*map(model.leaves.__getitem__, idx)))):
+            continue
+        for n, (h, verts) in enumerate(zip(graphs, zip(*map(model.leaves.__getitem__, idx)))):
             if not h._has(verts):
                 out.append(
                     Violation(
@@ -167,12 +169,13 @@ def build_random_model(
         raise InputError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     rng = Random(seed)
     stems = all_level_stems(t, m)
-    leaves = [s for s in stems for _ in range(count_per_leaf)]
+    owner = [j for j in range(len(stems)) for _ in range(count_per_leaf)]  # stem index per element
+    leaves = list(map(stems.__getitem__, owner))
     graphs = t._level_graphs(m)
     allowed: dict[tuple[int, ...], bool] = {}  # per tuple of stem indices
     edges: set[frozenset[int]] = set()
     for sub in combinations(range(len(leaves)), t.arity):
-        key = tuple(i // count_per_leaf for i in sub)
+        key = tuple(map(owner.__getitem__, sub))
         ok = allowed.get(key)
         if ok is None:
             ok = allowed[key] = all(map(Hypergraph._has, graphs, zip(*map(stems.__getitem__, key))))

@@ -469,13 +469,13 @@ class TestPipelines:
         assert "F-upper 0" in out and "G-value inf" in out and "result exact" in out
 
     def test_estimate_fg_complete_analytic_bounds(self, tmp_path, capsys):
-        # no shortcut answers complete templates, so the analytic lines
-        # print analytic_f_bound and analytic_g_lower
+        # the analytic lines print analytic_f_bound and analytic_g_lower,
+        # which is infinite on a complete template, as the exact G is
         out = str(tmp_path / "gen.tpl")
         assert run(["gen-template", "--arity", "3", "--complete", "--prefix", "3", "--out", out]) == 0
         assert run(["estimate-fg", out, "--F", "2", "--G", "5"]) == 0
         report = capsys.readouterr().out
-        assert "F-analytic-bound 2\n" in report and "G-analytic-lower 3\n" in report
+        assert "F-analytic-bound 2\n" in report and "G-analytic-lower inf\n" in report
 
     def test_estimate_fg_readme_template_G_infinite(self, tmp_path, capsys):
         # README's round-trip template: no count fails at n = 3

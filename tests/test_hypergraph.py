@@ -469,6 +469,36 @@ class TestConstruction:
         with pytest.raises(InputError):
             Hypergraph(3, 4, [(0, 1, 4)])
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1, 2), (1, 2, 4), (0, 0, 1)], r"^uniform edge \[1, 2, 4\] has a vertex outside 0\.\.3$"),
+            ([(0, 1, 2), (-1, 0, 1), (0, 0, 1)], r"^uniform edge \[-1, 0, 1\] has a vertex outside 0\.\.3$"),
+            ([(0, 1, 2), (0, 0, 1), (1, 2, 4)], r"^uniform edge \[0, 1\] does not have 3 distinct vertices$"),
+            ([(0, 1, 2), (0, 1, 2, 3), (-1, 0, 1)], r"^uniform edge \[0, 1, 2, 3\] does not have 3 distinct vertices$"),
+        ],
+    )
+    def test_first_bad_edge_in_input_order_named(self, edges, message):
+        with pytest.raises(InputError, match=message):
+            Hypergraph(3, 4, edges)
+
+    def test_edge_containers_give_equal_levels(self):
+        edges = [(0, 1, 2), (1, 2, 3), (0, 2, 3)]
+        levels = [
+            Hypergraph(3, 4, (tuple(e) for e in edges)),  # one-pass generator
+            Hypergraph(3, 4, list(map(list, edges))),
+            Hypergraph(3, 4, tuple(edges)),
+            Hypergraph(3, 4, frozenset(map(frozenset, edges))),
+            Hypergraph(3, 4, [e[::-1] for e in edges] + edges),  # permuted repeats
+        ]
+        assert all(h == levels[0] for h in levels)
+        assert levels[0].uniform_edges == frozenset(map(frozenset, edges))
+
+    def test_edgeless_level_builds(self):
+        for h in (Hypergraph(3, 1), Hypergraph(3, 4, []), Hypergraph(2, 5, iter(()))):
+            assert h.uniform_edges == frozenset()
+        assert not Hypergraph(3, 4).is_edge((0, 1, 2))
+
     def test_immutable(self):
         h = Hypergraph(3, 4)
         with pytest.raises(AttributeError):

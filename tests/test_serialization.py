@@ -1,4 +1,5 @@
 import hashlib
+import re
 from itertools import combinations
 from random import Random
 
@@ -70,6 +71,86 @@ class TestModelFormat:
         m = FiniteModel(3, 2, [], set())
         out = ser.load_model(ser.dump_model(m))
         assert out.leaves == [] and out.edges == set()
+
+
+# -- errors inside a block --------------------------------------------------
+#
+# A count line's item lines are read in one loop: the first malformed line
+# names the error, and only then does a count past the last line end in
+# "unexpected end of file".
+
+_BLOCK_TEMPLATE = ser.dump_template(
+    Template(3, [(Hypergraph(3, 5, [(0, 1, 2), (0, 1, 3), (1, 2, 4), (2, 3, 4)]), 1)])
+)
+_BLOCK_MODEL = ser.dump_model(
+    FiniteModel(3, 1, [(0,), (1,), (0,), (1,)], {frozenset(e) for e in combinations(range(4), 3)})
+)
+BLOCKS = {
+    # name: (load, dump, count keyword, item keyword, error prefix of a line, of its integers)
+    "template edges": (ser.load_template, _BLOCK_TEMPLATE, "edges", "e", "template", "template edge"),
+    "model elements": (ser.load_model, _BLOCK_MODEL, "elements", "el", "model", "model element"),
+    "model edges": (ser.load_model, _BLOCK_MODEL, "edges", "e", "model", "model edge"),
+}
+
+
+def _block(name):
+    """The block's loader, its dump's lines, the index of its count line and
+    its keywords and error prefixes."""
+    load, text, keyword, item, what, item_what = BLOCKS[name]
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split()[0] == keyword)
+    assert int(lines[at].split()[1]) == 4
+    return load, lines, at, item, what, item_what
+
+
+def _set_word(lines, i, j, word):
+    parts = lines[i].split()
+    parts[j] = word
+    lines[i] = " ".join(parts)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCKS))
+class TestBlockErrors:
+    def test_wrong_keyword_mid_block(self, name):
+        load, lines, at, item, what, _ = _block(name)
+        _set_word(lines, at + 2, 0, "f")
+        with pytest.raises(InputError, match=f"^{what}: expected {item!r}, got {lines[at + 2]!r}$"):
+            load("\n".join(lines))
+
+    def test_non_integer_mid_block(self, name):
+        load, lines, at, _, _, item_what = _block(name)
+        _set_word(lines, at + 2, -1, "x")
+        words = lines[at + 2].split()[1:]
+        with pytest.raises(InputError, match=re.escape(f"{item_what}: expected integers, got {words}")):
+            load("\n".join(lines))
+
+    @pytest.mark.parametrize("first", ["keyword", "integer"])
+    def test_earlier_malformed_line_wins(self, name, first):
+        load, lines, at, item, what, item_what = _block(name)
+        keyword_line, integer_line = (at + 2, at + 3) if first == "keyword" else (at + 3, at + 2)
+        _set_word(lines, keyword_line, 0, "f")
+        _set_word(lines, integer_line, -1, "x")
+        if first == "keyword":
+            message = re.escape(f"{what}: expected {item!r}, got {lines[keyword_line]!r}")
+        else:
+            message = re.escape(f"{item_what}: expected integers, got {lines[integer_line].split()[1:]}")
+        with pytest.raises(InputError, match=f"^{message}$"):
+            load("\n".join(lines))
+
+    def test_count_past_the_last_line(self, name):
+        load, lines, at, *_ = _block(name)
+        lines = lines[: at + 5]  # the count line and its four items, nothing after
+        lines[at] = lines[at].split()[0] + " 6"
+        with pytest.raises(InputError, match="^(template|model): unexpected end of file$"):
+            load("\n".join(lines))
+
+    def test_malformed_line_wins_over_end_of_file(self, name):
+        load, lines, at, _, _, item_what = _block(name)
+        lines = lines[: at + 5]
+        lines[at] = lines[at].split()[0] + " 6"
+        _set_word(lines, at + 4, -1, "x")
+        with pytest.raises(InputError, match=f"^{item_what}: expected integers"):
+            load("\n".join(lines))
 
 
 class TestTypespecFormat:

@@ -82,10 +82,8 @@ def check_model(t: Template, model: FiniteModel) -> tuple[Violation, ...]:
             continue
         if graphs is None:
             graphs = t._level_graphs(model.level)
-        if all(map(Hypergraph._has, graphs, zip(*map(model.leaves.__getitem__, idx)))):
-            continue
-        for n, (h, verts) in enumerate(zip(graphs, zip(*map(model.leaves.__getitem__, idx)))):
-            if not h._has(verts):
+        for n, ok in enumerate(map(Hypergraph._has, graphs, zip(*map(model.leaves.__getitem__, idx)))):
+            if not ok:
                 out.append(
                     Violation(
                         "forbidden_edge",
@@ -169,13 +167,13 @@ def build_random_model(
         raise InputError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     rng = Random(seed)
     stems = all_level_stems(t, m)
-    owner = [j for j in range(len(stems)) for _ in range(count_per_leaf)]  # stem index per element
-    leaves = list(map(stems.__getitem__, owner))
+    leaves = [s for s in stems for _ in range(count_per_leaf)]
     graphs = t._level_graphs(m)
     allowed: dict[tuple[int, ...], bool] = {}  # per tuple of stem indices
     edges: set[frozenset[int]] = set()
-    for sub in combinations(range(len(leaves)), t.arity):
-        key = tuple(map(owner.__getitem__, sub))
+    owner = [j for j in range(len(stems)) for _ in range(count_per_leaf)]  # stem index per element
+    # both walk positions in one order, so key holds the stem indices of sub
+    for sub, key in zip(combinations(range(len(leaves)), t.arity), combinations(owner, t.arity)):
         ok = allowed.get(key)
         if ok is None:
             ok = allowed[key] = all(map(Hypergraph._has, graphs, zip(*map(stems.__getitem__, key))))

@@ -2,11 +2,12 @@
 
 A k-full hypergraph stores only its k-uniform part (edges on k distinct
 vertices); every tuple with fewer than k distinct entries counts as an edge
-by definition.  Witness masks come from one completion table, built in
-one pass over the edges when the first mask is needed and kept for the
-level's lifetime.  The extension property is decided exactly, by a search
-for a smallest cover of the vertex set by complements of witness masks,
-within a bound on the nodes it visits.  Its set-up (_setup) is kept per
+by definition.  Witness masks come from one completion table, built when
+the first mask is needed and kept for the level's lifetime: one pass over
+E*, or, when more than half the k-sets are edges, over the non-edges found
+in one walk over the k-sets.  The extension property is decided exactly,
+by a search for a smallest cover of the vertex set by complements of
+witness masks, within a bound on the nodes it visits.  Its set-up (_setup) is kept per
 level and mode (with or without a span) as well, so repeated checks on a
 level pay only for the search.  The same search, run once per vertex over
 the tuples whose window replacements can reach it, below the smallest
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, filterfalse, product
+from math import comb
 from operator import and_
 from random import Random
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import InputError
 
@@ -63,16 +65,14 @@ class Hypergraph:
 
     def __init__(self, arity: int, size: int, uniform_edges: Iterable[Iterable[int]] = ()):
         """The level with these uniform edges, each read once.  All edges
-        are checked at once (the set of their lengths, then the least and
-        greatest vertex of their union); only when that check fails are
-        they walked in input order, so the error names the first bad edge."""
+        are checked at once (_fit); only when that check fails are they
+        walked in input order, so the error names the first bad edge."""
         if arity < 2:
             raise InputError(f"arity must be >= 2, got {arity}")
         if size < 1:
             raise InputError(f"size must be >= 1, got {size}")
         edges = list(map(frozenset, uniform_edges))
-        vertices = frozenset().union(*edges)
-        if set(map(len, edges)) - {arity} or vertices and (min(vertices) < 0 or max(vertices) >= size):
+        if not _fit(edges, arity, size):
             for fs in edges:  # name the first bad edge in input order
                 if len(fs) != arity:
                     raise InputError(f"uniform edge {sorted(fs)} does not have {arity} distinct vertices")
@@ -148,11 +148,14 @@ class Hypergraph:
             bits |= 1 << v
         if bits.bit_count() < self.arity - 1:
             return (1 << self.size) - 1
-        table = self._table
-        if table is None:
-            table = _completion_table(self.uniform_edges)
-            object.__setattr__(self, "_table", table)
-        return table.get(bits, 0) | bits
+        table, flip = self._table or self._completion()
+        return (table.get(bits, 0) ^ flip) | bits
+
+    def _completion(self) -> tuple[dict[int, int], int]:
+        """Build the completion table and its flip (_completion_table) once
+        and keep them."""
+        object.__setattr__(self, "_table", _completion_table(self.uniform_edges, self.size, self.arity))
+        return self._table
 
     # -- extension property ------------------------------------------------
 
@@ -189,10 +192,13 @@ class Hypergraph:
             # a tuple with a repeat has the full mask and its permutations the
             # sorted tuple's, so the (k-1)-sets in order give every mask, each
             # first at the tuple that gives it first in product order
+            table, flip = self._table or self._completion()
+            get = table.get
+            sets = combinations([1 << v for v in range(self.size)], self.arity - 1)
+            masks = [(get(bits, 0) ^ flip) | bits for bits in map(sum, sets)]
             rows: list[tuple[int, tuple[int, ...]]] = []
             seen: set[int] = set()
-            for tup in combinations(range(self.size), self.arity - 1):
-                m = self._mask(tup)
+            for m, tup in zip(masks, combinations(range(self.size), self.arity - 1)):
                 if m != full and (span is not None or m not in seen):
                     seen.add(m)
                     rows.append((m, tup))
@@ -371,18 +377,36 @@ def _setup(size: int, rows: list[tuple[int, tuple[int, ...]]], span: Optional[in
     return reach, comps, tuples, supports, by_vertex
 
 
-def _completion_table(edges: Iterable[frozenset[int]]) -> dict[int, int]:
-    """Map the vertex-set bits of every (k-1)-subset of an edge to the bits of
-    the vertices s completing it to an edge, in one pass over the edges."""
+def _completion_table(edges: frozenset[frozenset[int]], size: int, arity: int) -> tuple[dict[int, int], int]:
+    """A table from the smaller of E* and its complement among the k-sets, and
+    its flip: a (k-1)-set's witness mask is (table.get(bits, 0) ^ flip) | bits.
+
+    With at most half the k-sets as edges, the table maps the vertex-set bits
+    of every (k-1)-subset of an edge to the bits of the vertices completing it
+    to an edge, and flip is 0.  With more, it records the non-edges the same
+    way, found in one walk over the k-sets, and flip is the full mask."""
+    sets: Iterable[frozenset[int]] = edges
+    flip = 0
+    if 2 * len(edges) > comb(size, arity):
+        sets = filterfalse(edges.__contains__, map(frozenset, combinations(range(size), arity)))
+        flip = (1 << size) - 1
     table: dict[int, int] = {}
-    for e in edges:
+    for e in sets:
         bits = 0
         for v in e:
             bits |= 1 << v
         for v in e:
             rest = bits ^ (1 << v)
             table[rest] = table.get(rest, 0) | (1 << v)
-    return table
+    return table, flip
+
+
+def _fit(edges: Collection[frozenset[int]], arity: int, size: int) -> bool:
+    """Whether every edge is an arity-set of vertices in 0..size-1, checked
+    for all at once: the set of their sizes, then the least and greatest
+    vertex of their union."""
+    vertices = frozenset().union(*edges)
+    return set(map(len, edges)) <= {arity} and (not vertices or min(vertices) >= 0 and max(vertices) < size)
 
 
 def complete_hypergraph(arity: int, size: int) -> Hypergraph:

@@ -2,19 +2,23 @@
 
 Writers emit canonical form (edges sorted lexicographically, stable field
 order), so identical objects serialize to identical bytes; an edge block is
-sorted once, as rows of sorted vertices.  Readers take each line once: a
-count line's item lines are read in one loop over that many lines, so the
-first malformed one names the error, and only after them does a count past
-the last line end in "unexpected end of file".  Readers load every dump
-back to an equal object but accept more than writers produce: blank lines,
-any line break ``str.splitlines`` knows (``\\r\\n`` too), any whitespace
-around the words of a line other than the header, and any integer ``int``
-reads (``+2``, ``02``, ``0_2``, non-ASCII digits).  The dump of such input
-differs from it.
+sorted once, as rows of sorted vertices, and written through one %
+template when its rows share a width.  Readers take each line once: a
+count line's item lines are read whole when each is the item keyword and
+as many integers as the first (one join, one split, one map(int)), and
+otherwise in one loop over that many lines, so the first malformed one
+names the error, and only after them does a count past the last line end
+in "unexpected end of file".  Readers load every dump back to an equal
+object but accept more than writers produce: blank lines, any line break
+``str.splitlines`` knows (``\\r\\n`` too), any whitespace around the words
+of a line other than the header, and any integer ``int`` reads (``+2``,
+``02``, ``0_2``, non-ASCII digits).  The dump of such input differs from
+it.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
@@ -37,6 +41,34 @@ def _ints(parts: Sequence[str], what: str) -> list[int]:
         return list(map(int, parts))
     except ValueError:
         raise InputError(f"{what}: expected integers, got {parts}")
+
+
+def _regular(chunk: list[str], count: int, item: str) -> Optional[list[list[int]]]:
+    """The rows of count lines that are each item and the same number of
+    integers as the first, from one join, one split and one map(int); None
+    for any other chunk.  The lines are joined with a ";" word between
+    them, which must fall where the first line's width puts each line end;
+    as no ";" reads as an item or an integer, that holds only when every
+    line has that width."""
+    if not chunk or len(chunk) < count:
+        return None
+    width = len(chunk[0].split())
+    words = " ; ".join(chunk).split()
+    period = width + 1
+    if (
+        len(words) != count * period - 1
+        or words[::period] != [item] * count
+        or words[width::period] != [";"] * (count - 1)
+    ):
+        return None
+    del words[width::period]  # the ";" words, then the items
+    del words[::width]
+    try:
+        vals = list(map(int, words))
+    except ValueError:
+        return None
+    n = width - 1
+    return [vals[j * n : j * n + n] for j in range(count)]
 
 
 class _Lines:
@@ -74,10 +106,15 @@ class _Lines:
         return _ints(parts, what)[0]
 
     def items(self, count: int, item: str, what: str) -> Iterator[list[int]]:
-        """The integers after item on each of the next count lines, in one
-        loop over those lines: a malformed line raises before a missing one."""
+        """The integers after item on each of the next count lines.  A
+        regular block (_regular) is read at once; any other line by line,
+        so the first malformed line names the error, before a missing one."""
         chunk = self.lines[self.pos : self.pos + max(count, 0)]
         self.pos += len(chunk)
+        rows = _regular(chunk, count, item)
+        if rows is not None:
+            yield from rows
+            return
         try:
             for line in chunk:
                 parts = line.split()  # never empty: blank lines were dropped
@@ -104,9 +141,15 @@ def _line(keyword: str, values: Iterable[int]) -> str:
 
 
 def _block(out: list[str], keyword: str, item: str, rows: list) -> None:
+    """A count line, then a _line per row: rows of one width through a
+    single % template, ragged ones one by one."""
     out.append(f"{keyword} {len(rows)}")
-    lead = f"{item} "  # _line inlined: a call per row slows dump_model
-    out += [lead + " ".join(map(str, r)) for r in rows]
+    widths = set(map(len, rows))
+    if len(widths) == 1:
+        line = f"{item} " + " ".join(["%s"] * widths.pop())
+        out.append("\n".join([line] * len(rows)) % tuple(chain.from_iterable(rows)))
+    else:
+        out += [_line(item, r) for r in rows]
 
 
 # -- templates -------------------------------------------------------------
@@ -161,7 +204,7 @@ def load_model(text: str) -> FiniteModel:
     count = ln.int("elements", "model element count")
     leaves = []
     for i, vals in enumerate(ln.items(count, "el", "model element")):
-        if len(vals) != level + 1 or vals[0] != i:
+        if len(vals) != level + 1 or vals[:1] != [i]:  # an el line needs its index
             raise InputError(f"model element: malformed line {i}")
         leaves.append(tuple(vals[1:]))
     edges = set(map(frozenset, ln.block("edges", "model edge count", "e", "model edge")))

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 from random import Random
 from typing import Optional, Sequence
 
 from .errors import InputError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _fit
 from .template import Template
 from .tree import Stem, in_tree
 
@@ -56,11 +57,20 @@ class Violation:
     level: Optional[int] = None
 
 
+def _misshapen(edges: set[frozenset[int]], k: int, count: int) -> list[frozenset[int]]:
+    """The edges that are not k-subsets of 0..count-1, walked one by one
+    only when the check of all at once (as in Hypergraph.__init__) fails."""
+    if _fit(edges, k, count):
+        return []
+    return [e for e in edges if len(e) != k or min(e) < 0 or max(e) >= count]
+
+
 def check_model(t: Template, model: FiniteModel) -> tuple[Violation, ...]:
-    """All violations: malformed leaves, non-k-subsets, and edges whose
-    endpoint leaves fail some level.  Empty means the model is valid.  An
-    edge touching a malformed leaf is not tested: that leaf's violation is
-    reported instead."""
+    """All violations: malformed leaves, then non-k-subsets and edges whose
+    endpoint leaves fail some level, in the order of their sorted vertex
+    lists.  Empty means the model is valid.  An edge touching a malformed
+    leaf is not tested: that leaf's violation is reported instead.  Edges
+    are tested as stored; only the violations are sorted."""
     out = []
     if model.arity != t.arity:
         out.append(Violation("edge_shape", f"model arity {model.arity} != template arity {t.arity}"))
@@ -73,25 +83,24 @@ def check_model(t: Template, model: FiniteModel) -> tuple[Violation, ...]:
         elif not in_tree(t, leaf):
             out.append(Violation("leaf", f"element {i} leaf {leaf} leaves the tree"))
             malformed.add(i)
+    bad = _misshapen(model.edges, t.arity, len(model.leaves))
+    found = [  # (sorted vertex list, violation)
+        (idx, Violation("edge_shape", f"edge {idx} is not a {t.arity}-subset of elements")) for idx in map(sorted, bad)
+    ]
     graphs = None
-    for idx in sorted(map(sorted, model.edges)):
-        if len(idx) != t.arity or idx[0] < 0 or idx[-1] >= len(model.leaves):
-            out.append(Violation("edge_shape", f"edge {idx} is not a {t.arity}-subset of elements"))
-            continue
-        if not malformed.isdisjoint(idx):
+    for e in model.edges.difference(bad):
+        if not malformed.isdisjoint(e):
             continue
         if graphs is None:
             graphs = t._level_graphs(model.level)
-        for n, ok in enumerate(map(Hypergraph._has, graphs, zip(*map(model.leaves.__getitem__, idx)))):
+        for n, ok in enumerate(map(Hypergraph._has, graphs, zip(*map(model.leaves.__getitem__, e)))):
             if not ok:
-                out.append(
-                    Violation(
-                        "forbidden_edge",
-                        f"edge {idx} blocked: leaves evaluate to a non-edge at level {n}",
-                        level=n,
-                    )
-                )
+                idx = sorted(e)
+                detail = f"edge {idx} blocked: leaves evaluate to a non-edge at level {n}"
+                found.append((idx, Violation("forbidden_edge", detail, level=n)))
                 break
+    found.sort(key=itemgetter(0))
+    out += [v for _, v in found]
     return tuple(out)
 
 
@@ -222,9 +231,9 @@ def close_existentially(
             raise InputError(f"element {i} leaf {leaf} is not a level-{m} leaf of the tree")
     cur = FiniteModel(k, m, list(map(tuple, model.leaves)), set(model.edges))
     leaves, edges = cur.leaves, cur.edges
-    bad = [sorted(e) for e in edges if len(e) != k or min(e) < 0 or max(e) >= len(leaves)]
+    bad = _misshapen(edges, k, len(leaves))
     if bad:
-        raise InputError(f"edge {min(bad)} is not a {k}-subset of elements")
+        raise InputError(f"edge {min(map(sorted, bad))} is not a {k}-subset of elements")
     stems = all_level_stems(t, m)
     graphs = t._level_graphs(m)
     added = 0

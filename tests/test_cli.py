@@ -247,6 +247,9 @@ MALFORMED = {
     "element line without integers": (
         "check-model", TEMPLATE_TEXT, _edit(MODEL_TEXT, "el 0 0 0", "el"),
     ),
+    "element line without integers at level -1": (
+        "check-model", TEMPLATE_TEXT, "hgt-model 1\narity 2\nlevel -1\nelements 1\nel\nedges 0\n",
+    ),
     "two values on the model level line": (
         "check-model", TEMPLATE_TEXT, _edit(MODEL_TEXT, "level 2", "level 2 3"),
     ),

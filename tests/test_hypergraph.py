@@ -4,7 +4,7 @@ import itertools
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypertemplate import hypergraph
@@ -67,23 +67,48 @@ class TestWitnessMask:
         h = Hypergraph(3, 4)
         assert h.witness_mask((2, 2)) == 0b1111
 
+    # count, when given, takes that many k-sets in a seeded order in place of
+    # p: the completion table records the non-edges once more than half the
+    # k-sets are edges, so the examples sit at that switch point (C(n, k)/2
+    # edges, one more, one fewer) and on edgeless and complete levels
     @given(
         st.integers(2, 4),
         st.integers(1, 6),
         st.floats(0.05, 1.0),
         st.integers(0, 2**31),
         st.floats(0.0, 1.0),
+        st.none(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_bulk_masks_match_edge_scans(self, arity, size, p, seed, warm):
+    @example(2, 5, 1.0, 0, 0.0, 0)
+    @example(2, 5, 1.0, 1, 0.0, 4)
+    @example(2, 5, 1.0, 2, 0.5, 5)
+    @example(2, 5, 1.0, 3, 0.0, 6)
+    @example(2, 5, 1.0, 4, 0.0, 10)
+    @example(3, 6, 1.0, 5, 0.0, 0)
+    @example(3, 6, 1.0, 6, 0.5, 9)
+    @example(3, 6, 1.0, 7, 0.0, 10)
+    @example(3, 6, 1.0, 8, 0.5, 11)
+    @example(3, 6, 1.0, 9, 0.0, 20)
+    @example(4, 8, 1.0, 10, 0.0, 0)
+    @example(4, 8, 1.0, 11, 0.0, 34)
+    @example(4, 8, 1.0, 12, 0.5, 35)
+    @example(4, 8, 1.0, 13, 0.0, 36)
+    @example(4, 8, 1.0, 14, 0.5, 70)
+    def test_bulk_masks_match_edge_scans(self, arity, size, p, seed, warm, count):
         # masks read off the completion table must agree with direct is_edge
         # scans in product order: from a cold cache, from one partly filled
         # by witness_mask, and after extension checks, which leave the memo
         # alone
+        def level():
+            if count is None:
+                return random_hypergraph(arity, size, p, Random(seed))
+            return Hypergraph(arity, size, Random(seed).sample(list(itertools.combinations(range(size), arity)), count))
+
         tuples = list(itertools.product(range(size), repeat=arity - 1))
-        ref = random_hypergraph(arity, size, p, Random(seed))
+        ref = level()
         scans = [sum(1 << s for s in range(size) if ref.is_edge((s,) + tup)) for tup in tuples]
-        cold, warmed, checked = (random_hypergraph(arity, size, p, Random(seed)) for _ in range(3))
+        cold, warmed, checked = (level() for _ in range(3))
         rng = Random(seed + 1)
         for tup in tuples:
             if rng.random() < warm:

@@ -4,7 +4,7 @@ from itertools import combinations
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypertemplate.errors import InputError
@@ -109,14 +109,18 @@ def _set_word(lines, i, j, word):
     lines[i] = " ".join(parts)
 
 
-@pytest.mark.parametrize("name", sorted(BLOCKS))
+each_block = pytest.mark.parametrize("name", sorted(BLOCKS))
+
+
 class TestBlockErrors:
+    @each_block
     def test_wrong_keyword_mid_block(self, name):
         load, lines, at, item, what, _ = _block(name)
         _set_word(lines, at + 2, 0, "f")
         with pytest.raises(InputError, match=f"^{what}: expected {item!r}, got {lines[at + 2]!r}$"):
             load("\n".join(lines))
 
+    @each_block
     def test_non_integer_mid_block(self, name):
         load, lines, at, _, _, item_what = _block(name)
         _set_word(lines, at + 2, -1, "x")
@@ -124,6 +128,7 @@ class TestBlockErrors:
         with pytest.raises(InputError, match=re.escape(f"{item_what}: expected integers, got {words}")):
             load("\n".join(lines))
 
+    @each_block
     @pytest.mark.parametrize("first", ["keyword", "integer"])
     def test_earlier_malformed_line_wins(self, name, first):
         load, lines, at, item, what, item_what = _block(name)
@@ -137,6 +142,7 @@ class TestBlockErrors:
         with pytest.raises(InputError, match=f"^{message}$"):
             load("\n".join(lines))
 
+    @each_block
     def test_count_past_the_last_line(self, name):
         load, lines, at, *_ = _block(name)
         lines = lines[: at + 5]  # the count line and its four items, nothing after
@@ -144,6 +150,7 @@ class TestBlockErrors:
         with pytest.raises(InputError, match="^(template|model): unexpected end of file$"):
             load("\n".join(lines))
 
+    @each_block
     def test_malformed_line_wins_over_end_of_file(self, name):
         load, lines, at, _, _, item_what = _block(name)
         lines = lines[: at + 5]
@@ -151,6 +158,74 @@ class TestBlockErrors:
         _set_word(lines, at + 4, -1, "x")
         with pytest.raises(InputError, match=f"^{item_what}: expected integers"):
             load("\n".join(lines))
+
+    def test_element_line_without_integers_at_level_minus_one(self):
+        # an el line must hold its index even where the level asks for no stem
+        text = "hgt-model 1\narity 2\nlevel -1\nelements 1\nel\nedges 0\n"
+        with pytest.raises(InputError, match="^model element: malformed line 0$"):
+            ser.load_model(text)
+
+
+def _reference_block(lines, count, item, what, item_what):
+    """A count line's rows as the loop over each line reads them: the first
+    malformed line names the error, then a count past the last line."""
+    rows = []
+    for line in lines[:count]:
+        parts = line.split()
+        if parts[0] != item:
+            raise InputError(f"{what}: expected {item!r}, got {line!r}")
+        try:
+            rows.append(list(map(int, parts[1:])))
+        except ValueError:
+            raise InputError(f"{item_what}: expected integers, got {parts[1:]}")
+    if len(lines) < count:
+        raise InputError(f"{what}: unexpected end of file")
+    return rows
+
+
+_WORDS = st.sampled_from(["e", "el", "x", ";", "+3", "-2", "0_4", "07", "\u0663"]) | st.integers(-5, 50).map(str)
+
+
+@st.composite
+def _item_lines(draw):
+    """Lines of "e" and one width of integers, some replaced by arbitrary
+    words, each with its own leading whitespace and separators, or the same
+    words broken into as many lines at other places (ragged widths, "e"
+    inside a line, a line starting with an integer); and a count up to two
+    past the last line."""
+    width = draw(st.integers(0, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 3)):
+            words = ["e"] + [str(draw(st.integers(0, 30))) for _ in range(width)]
+        else:
+            words = draw(st.lists(_WORDS, min_size=1, max_size=5))
+        lead = draw(st.sampled_from(["", " ", "\t "]))
+        lines.append(lead + draw(st.sampled_from([" ", "  ", "\t"])).join(words))
+    words = " ".join(lines).split()
+    if len(lines) > 1 and draw(st.booleans()):  # the same words, broken into as many lines elsewhere
+        cuts = sorted(draw(st.sets(st.integers(1, len(words) - 1), min_size=len(lines) - 1, max_size=len(lines) - 1)))
+        lines = [" ".join(words[a:b]) for a, b in zip([0, *cuts], [*cuts, len(words)])]
+    return lines, draw(st.integers(0, len(lines) + 2))
+
+
+@given(_item_lines())
+@settings(max_examples=300, deadline=None)
+@example((["e 1 2 e 3", "4"], 2))  # every other word is "e", but the lines are ragged
+@example((["e 1 2", "e 3 4", "e"], 3))
+@example((["e", "e", "e"], 3))
+@example((["e 1 ; e 2", "e 3"], 2))
+def test_block_reads_as_the_line_loop(case):
+    lines, count = case
+    text = "\n".join(["hgt-model 1", f"edges {count}", *lines])
+    try:
+        expected = _reference_block(lines, count, "e", "model", "model edge")
+    except InputError as e:
+        with pytest.raises(InputError, match=f"^{re.escape(str(e))}$"):
+            ser._Lines(text, "model", "hgt-model 1").block("edges", "model edge count", "e", "model edge")
+    else:
+        got = ser._Lines(text, "model", "hgt-model 1").block("edges", "model edge count", "e", "model edge")
+        assert got == expected
 
 
 class TestTypespecFormat:

@@ -110,6 +110,17 @@ class TestCheckModel:
             "edge [0, 1, 3] is not a 3-subset of elements",
             "edge [1, 2, 5] is not a 3-subset of elements",
         ]
+        # shape and forbidden-edge violations interleave in sorted-row order
+        edges = {frozenset(e) for e in [(2, 3, 9), (1, 2, 3), (0, 1, 5), (0, 1, 3), (0, 1), (-1, 0, 1), (0, 1, 2)]}
+        m = FiniteModel(3, 2, [(0, 3), (1, 4), (2, 5), (0, 0)], edges)
+        assert [v.detail for v in check_model(t, m)] == [
+            "edge [-1, 0, 1] is not a 3-subset of elements",
+            "edge [0, 1] is not a 3-subset of elements",
+            "edge [0, 1, 3] blocked: leaves evaluate to a non-edge at level 1",
+            "edge [0, 1, 5] is not a 3-subset of elements",
+            "edge [1, 2, 3] blocked: leaves evaluate to a non-edge at level 1",
+            "edge [2, 3, 9] is not a 3-subset of elements",
+        ]
 
     @pytest.mark.parametrize(
         "leaf, detail",
@@ -271,10 +282,14 @@ class TestCloseExistentially:
         ([(0,), (1,)], 2, 1, [{0, 2}]),  # an edge off the elements
         ([(0,), (1,)], 2, 1, [{-1, 0}]),
         ([(0,), (1,), (1,)], 2, 1, [{0, 1, 2}]),  # an edge of the wrong size
+        ([(0,), (1,), (1,)], 2, 1, [{0, 5}, {1, 2}, {0, 1, 2}, {-1, 1}, {2, 7}]),  # the least bad edge is named
     ])
     def test_malformed_model_rejected_before_closing(self, leaves, arity, level, edges):
         t = size2_template(prefix=1)
         m = FiniteModel(arity, level, leaves, set(map(frozenset, edges)))
+        bad = [sorted(e) for e in edges if len(e) != arity or min(e) < 0 or max(e) >= len(leaves)]
         for budget in (0, 50):
-            with pytest.raises(InputError):
+            with pytest.raises(InputError) as info:
                 close_existentially(t, 1, m, param_bound=1, budget=budget)
+            if str(info.value).startswith("edge "):
+                assert str(info.value) == f"edge {min(bad)} is not a {arity}-subset of elements"

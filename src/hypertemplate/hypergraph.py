@@ -185,26 +185,29 @@ class Hypergraph:
         """True when no t complements of witness masks cover the vertex set,
         so every t (k-1)-tuples have a common witness; always on a complete
         level.  Reads the reach bound of the mode's cover-search set-up,
-        which the first call builds whole and the level keeps."""
-        setup = self._cover.get(span is None)
-        if setup is None:
-            full = (1 << self.size) - 1
-            # a tuple with a repeat has the full mask and its permutations the
-            # sorted tuple's, so the (k-1)-sets in order give every mask, each
-            # first at the tuple that gives it first in product order
-            table, flip = self._table or self._completion()
-            get = table.get
-            sets = combinations([1 << v for v in range(self.size)], self.arity - 1)
-            masks = [(get(bits, 0) ^ flip) | bits for bits in map(sum, sets)]
-            rows: list[tuple[int, tuple[int, ...]]] = []
-            seen: set[int] = set()
-            for m, tup in zip(masks, combinations(range(self.size), self.arity - 1)):
-                if m != full and (span is not None or m not in seen):
-                    seen.add(m)
-                    rows.append((m, tup))
-            setup = self._cover[span is None] = _setup(self.size, rows, span)
-        reach = setup[0]
+        which the first call builds whole (_build_cover) and the level keeps."""
+        reach = (self._cover.get(span is None) or self._build_cover(span))[0]
         return reach[min(t, len(reach) - 1)] < self.size
+
+    def _build_cover(self, span: Optional[int]) -> tuple:
+        """Build and keep the mode's cover-search set-up, every (k-1)-set's
+        mask read off the completion table in one pass."""
+        full = (1 << self.size) - 1
+        # a tuple with a repeat has the full mask and its permutations the
+        # sorted tuple's, so the (k-1)-sets in order give every mask, each
+        # first at the tuple that gives it first in product order
+        table, flip = self._table or self._completion()
+        get = table.get
+        sets = combinations([1 << v for v in range(self.size)], self.arity - 1)
+        masks = [(get(bits, 0) ^ flip) | bits for bits in map(sum, sets)]
+        rows: list[tuple[int, tuple[int, ...]]] = []
+        seen: set[int] = set()
+        for m, tup in zip(masks, combinations(range(self.size), self.arity - 1)):
+            if m != full and (span is not None or m not in seen):
+                seen.add(m)
+                rows.append((m, tup))
+        setup = self._cover[span is None] = _setup(self.size, rows, span)
+        return setup
 
     def check_extension_property(self, t: int, span: Optional[int] = None) -> ExtensionCheck:
         """Check that every choice of t (k-1)-tuples has a common witness;

@@ -7,20 +7,24 @@ the first mask is needed and kept for the level's lifetime: one pass over
 E*, or, when more than half the k-sets are edges, over the non-edges found
 in one walk over the k-sets.  The extension property is decided exactly,
 by a search for a smallest cover of the vertex set by complements of
-witness masks, within a bound on the nodes it visits.  Its set-up (_setup) is kept per
-level and mode (with or without a span) as well, so repeated checks on a
-level pay only for the search.  The same search, run once per vertex over
-the tuples whose window replacements can reach it, below the smallest
-cover so far, decides the window variant the agreement test rests on.
+witness masks, within a bound on the nodes it visits.  Per mode (with or
+without a span) a level keeps two values: the reach bound, from the first
+check, which alone answers many checks, and the search's set-up (_setup),
+from the first check the bound does not answer, so repeated checks pay
+only for the search.  These checks live in _Level, which random_template
+also runs on a drawn level before only the accepted draw becomes a
+Hypergraph.  The same search, run once per vertex over the tuples whose
+window replacements can reach it, below the smallest cover so far, decides
+the window variant the agreement test rests on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, filterfalse, product
+from itertools import accumulate, combinations, compress, filterfalse, product
 from math import comb
-from operator import and_
+from operator import and_, not_
 from random import Random
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -54,14 +58,147 @@ class ExtensionCheck:
     proven: int = 0
 
 
-class Hypergraph:
+class _Level:
+    """A level's extension checks, read off its completion table; a
+    Hypergraph builds its table on first use, a drawn level (_drawn) has it
+    from the draw.  Per mode, span None or not, the first check keeps the
+    reach bound and the rows it comes from (_build_reach); the first search
+    turns those rows into the set-up it keeps (_build_cover)."""
+
+    __slots__ = ("arity", "size", "_table", "_reach", "_rows", "_cover")
+
+    def __init__(self, arity: int, size: int, table: Optional[tuple[dict[int, int], int]]):
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_reach", {})  # reach bound by span is None
+        object.__setattr__(self, "_rows", {})  # the rows it came from, until that mode's first search
+        object.__setattr__(self, "_cover", {})  # cover-search set-up by span is None
+
+    @classmethod
+    def _drawn(cls, arity: int, size: int, ksets: list[tuple[int, ...]], drawn: list[bool]) -> _Level:
+        """The checks of the level whose uniform edges are the drawn k-sets
+        (_draw), its completion table built from the side with fewer k-sets."""
+        if 2 * sum(drawn) > len(ksets):
+            return cls(arity, size, _completion_table(compress(ksets, map(not_, drawn)), (1 << size) - 1))
+        return cls(arity, size, _completion_table(compress(ksets, drawn), 0))
+
+    def _hypergraph(self, uniform_edges: Iterable[Iterable[int]]) -> Hypergraph:
+        """The Hypergraph with these uniform edges, the ones this level's
+        table was built from, keeping the table, reach bounds and set-ups."""
+        h = Hypergraph(self.arity, self.size, uniform_edges)
+        for name in ("_table", "_reach", "_rows", "_cover"):
+            object.__setattr__(h, name, getattr(self, name))
+        return h
+
+    def _check_extension(self, t: int, span: Optional[int]) -> ExtensionCheck:
+        """check_extension_property for t >= 1, as random_template also runs
+        it on its draws: the reach bound, then, only when it does not
+        answer, the search on the mode's kept set-up."""
+        if self._reach_proves(t, span):
+            return ExtensionCheck(True, True, proven=t)
+        return self._cover_search(t, self._cover.get(span is None) or self._build_cover(span), span, [0])
+
+    def _reach_proves(self, t: int, span: Optional[int] = None) -> bool:
+        """True when no t complements of witness masks cover the vertex set,
+        so every t (k-1)-tuples have a common witness; always on a complete
+        level.  Reads the mode's reach bound, which its first call builds
+        (_build_reach) and the level keeps; no search set-up is built."""
+        reach = self._reach.get(span is None) or self._build_reach(span)
+        return reach[min(t, len(reach) - 1)] < self.size
+
+    def _build_reach(self, span: Optional[int]) -> list[int]:
+        """Keep the mode's rows, every (k-1)-set's mask read off the
+        completion table in one pass, paired with its tuple (without span
+        one per mask) and sorted by _reach, and beside them the reach bound,
+        which this returns."""
+        full = (1 << self.size) - 1
+        # a tuple with a repeat has the full mask and its permutations the
+        # sorted tuple's, so the (k-1)-sets in order give every mask, each
+        # first at the tuple that gives it first in product order
+        table, flip = self._table or self._completion()
+        get = table.get
+        sets = combinations([1 << v for v in range(self.size)], self.arity - 1)
+        masks = [(get(bits, 0) ^ flip) | bits for bits in map(sum, sets)]
+        rows: list[tuple[int, tuple[int, ...]]] = []
+        seen: set[int] = set()
+        for m, tup in zip(masks, combinations(range(self.size), self.arity - 1)):
+            if m != full and (span is not None or m not in seen):
+                seen.add(m)
+                rows.append((m, tup))
+        self._rows[span is None] = rows
+        reach = self._reach[span is None] = _reach(self.size, rows)
+        return reach
+
+    def _build_cover(self, span: Optional[int]) -> tuple:
+        """Build and keep the mode's cover-search set-up from the rows its
+        reach bound came from, then let the rows go."""
+        mode = span is None
+        setup = self._cover[mode] = (self._reach[mode], *_setup(self.size, self._rows[mode], span))
+        del self._rows[mode]
+        return setup
+
+    def _cover_search(self, t: int, setup: tuple, span: Optional[int], nodes: list[int]) -> ExtensionCheck:
+        """Search the set-up (reach, sets, tuples, supports, by_vertex) for a
+        smallest cover of the vertex set by at most t sets: branch on the
+        least uncovered vertex, leave out sets an earlier sibling's subtree
+        tried, and raise the cover size one step at a time.  nodes[0] counts
+        the sets examined, offered or filtered out, across every search that
+        shares the list; past COVER_SEARCH_NODES the search stops with
+        exhaustive=False."""
+        reach, sets, tuples, supports, by_vertex = setup
+        if not all(by_vertex):  # a vertex no set holds: every choice has a witness
+            return ExtensionCheck(True, True, proven=t)
+        full = (1 << self.size) - 1
+        width = self.arity - 1
+        chosen: list[int] = []
+        used = nodes[0]
+
+        def cover(uncovered: int, spare: int, banned: int, support: int) -> bool:
+            # a set holding the least uncovered vertex, then <= spare more
+            nonlocal used
+            branch = by_vertex[(uncovered & -uncovered).bit_length() - 1]
+            used += len(branch)
+            if used > COVER_SEARCH_NODES:
+                raise _NodeBoundReached
+            if span is not None and span - support.bit_count() < width:  # else every set fits
+                branch = [i for i in branch if (support | supports[i]).bit_count() <= span]
+            for i in branch:
+                if banned >> i & 1:
+                    continue
+                rest = uncovered & ~sets[i]
+                if not rest or rest.bit_count() <= reach[spare] and cover(
+                    rest, spare - 1, banned, support | supports[i]
+                ):
+                    chosen.append(i)
+                    return True
+                banned |= 1 << i
+            return False
+
+        proven = 0
+        try:
+            for limit in range(1, min(t, len(sets)) + 1):
+                if reach[limit] >= self.size and cover(full, limit - 1, 0, 0):
+                    ce = tuple(sorted(tuples[i] for i in chosen))
+                    return ExtensionCheck(False, True, ce, proven)
+                proven = limit
+        except _NodeBoundReached:
+            return ExtensionCheck(True, False, proven=proven)
+        finally:
+            nodes[0] = used
+            del cover  # the closure holds itself: free its lists now, not at the next GC
+        return ExtensionCheck(True, True, proven=t)
+
+
+class Hypergraph(_Level):
     """Immutable k-full hypergraph on vertices 0..size-1.
 
     Only the uniform part E* is stored; edges with repeated vertices are
-    implicit.  All operations are pure.
+    implicit.  All operations are pure; the extension checks' kept state
+    and helpers come from _Level.
     """
 
-    __slots__ = ("arity", "size", "uniform_edges", "_table", "_mask_cache", "_cover")
+    __slots__ = ("uniform_edges", "_mask_cache")
 
     def __init__(self, arity: int, size: int, uniform_edges: Iterable[Iterable[int]] = ()):
         """The level with these uniform edges, each read once.  All edges
@@ -78,12 +215,9 @@ class Hypergraph:
                     raise InputError(f"uniform edge {sorted(fs)} does not have {arity} distinct vertices")
                 if min(fs) < 0 or max(fs) >= size:
                     raise InputError(f"uniform edge {sorted(fs)} has a vertex outside 0..{size - 1}")
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "size", size)
+        super().__init__(arity, size, None)
         object.__setattr__(self, "uniform_edges", frozenset(edges))
-        object.__setattr__(self, "_table", None)
         object.__setattr__(self, "_mask_cache", {})
-        object.__setattr__(self, "_cover", {})  # cover-search set-up by span is None
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Hypergraph is immutable")
@@ -153,9 +287,16 @@ class Hypergraph:
 
     def _completion(self) -> tuple[dict[int, int], int]:
         """Build the completion table and its flip (_completion_table) once
-        and keep them."""
-        object.__setattr__(self, "_table", _completion_table(self.uniform_edges, self.size, self.arity))
-        return self._table
+        and keep them: from E* when at most half the k-sets are edges, else
+        from the non-edges, found in one walk over the k-sets."""
+        edges = self.uniform_edges
+        if 2 * len(edges) > comb(self.size, self.arity):
+            ksets = map(frozenset, combinations(range(self.size), self.arity))
+            table = _completion_table(filterfalse(edges.__contains__, ksets), (1 << self.size) - 1)
+        else:
+            table = _completion_table(edges, 0)
+        object.__setattr__(self, "_table", table)
+        return table
 
     # -- extension property ------------------------------------------------
 
@@ -181,34 +322,6 @@ class Hypergraph:
                 return None
         return (mask & -mask).bit_length() - 1
 
-    def _reach_proves(self, t: int, span: Optional[int] = None) -> bool:
-        """True when no t complements of witness masks cover the vertex set,
-        so every t (k-1)-tuples have a common witness; always on a complete
-        level.  Reads the reach bound of the mode's cover-search set-up,
-        which the first call builds whole (_build_cover) and the level keeps."""
-        reach = (self._cover.get(span is None) or self._build_cover(span))[0]
-        return reach[min(t, len(reach) - 1)] < self.size
-
-    def _build_cover(self, span: Optional[int]) -> tuple:
-        """Build and keep the mode's cover-search set-up, every (k-1)-set's
-        mask read off the completion table in one pass."""
-        full = (1 << self.size) - 1
-        # a tuple with a repeat has the full mask and its permutations the
-        # sorted tuple's, so the (k-1)-sets in order give every mask, each
-        # first at the tuple that gives it first in product order
-        table, flip = self._table or self._completion()
-        get = table.get
-        sets = combinations([1 << v for v in range(self.size)], self.arity - 1)
-        masks = [(get(bits, 0) ^ flip) | bits for bits in map(sum, sets)]
-        rows: list[tuple[int, tuple[int, ...]]] = []
-        seen: set[int] = set()
-        for m, tup in zip(masks, combinations(range(self.size), self.arity - 1)):
-            if m != full and (span is not None or m not in seen):
-                seen.add(m)
-                rows.append((m, tup))
-        setup = self._cover[span is None] = _setup(self.size, rows, span)
-        return setup
-
     def check_extension_property(self, t: int, span: Optional[int] = None) -> ExtensionCheck:
         """Check that every choice of t (k-1)-tuples has a common witness;
         with span, only choices whose tuples hold at most span distinct
@@ -221,14 +334,13 @@ class Hypergraph:
         other for one containing it); with span, one per (k-1)-set, taken
         only while the chosen sets stay within span vertices.  Masks come
         from the completion table and leave the witness_mask memo alone.
-        The set-up (_setup) is kept on the level per mode from the first
-        call, which tests its reach bound first (_reach_proves); the search,
-        its node count and its result stay per call."""
+        Per mode the level keeps the reach bound from the first call
+        (_reach_proves), which answers alone when no t complements can
+        cover, and the set-up (_setup) from the first call it does not
+        answer; the search, its node count and its result stay per call."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
-        if self._reach_proves(t, span):
-            return ExtensionCheck(True, True, proven=t)
-        return self._cover_search(t, self._cover[span is None], span, [0])
+        return self._check_extension(t, span)
 
     def check_window_extension(self, t: int, start: int) -> ExtensionCheck:
         """Check that every choice of t (k-1)-tuples has a common witness
@@ -270,7 +382,9 @@ class Hypergraph:
                 continue
             searched.add(key)
             # past a stop every search stops at once, proving what reach proves
-            chk = self._cover_search(proven, _setup(self.size, list(seen.items()), None), None, nodes)
+            held = list(seen.items())
+            reach = _reach(self.size, held)
+            chk = self._cover_search(proven, (reach, *_setup(self.size, held, None)), None, nodes)
             exhaustive = exhaustive and chk.exhaustive
             best = chk.counterexample or best
             proven = chk.proven
@@ -303,96 +417,54 @@ class Hypergraph:
         w = (common & -common).bit_length() - 1
         return tuple(next(r for r in self._window(tup, start) if self._mask(r) >> w & 1) for tup in tuples)
 
-    def _cover_search(self, t: int, setup: tuple, span: Optional[int], nodes: list[int]) -> ExtensionCheck:
-        """Search the set-up (reach, sets, tuples, supports, by_vertex) for a
-        smallest cover of the vertex set by at most t sets: branch on the
-        least uncovered vertex, leave out sets an earlier sibling's subtree
-        tried, and raise the cover size one step at a time.  nodes[0] counts
-        the sets examined, offered or filtered out, across every search that
-        shares the list; past COVER_SEARCH_NODES the search stops with
-        exhaustive=False."""
-        reach, sets, tuples, supports, by_vertex = setup
-        if not all(by_vertex):  # a vertex no set holds: every choice has a witness
-            return ExtensionCheck(True, True, proven=t)
-        full = (1 << self.size) - 1
-        width = self.arity - 1
-        chosen: list[int] = []
-        used = nodes[0]
-
-        def cover(uncovered: int, spare: int, banned: int, support: int) -> bool:
-            # a set holding the least uncovered vertex, then <= spare more
-            nonlocal used
-            branch = by_vertex[(uncovered & -uncovered).bit_length() - 1]
-            used += len(branch)
-            if used > COVER_SEARCH_NODES:
-                raise _NodeBoundReached
-            if span is not None and span - support.bit_count() < width:  # else every set fits
-                branch = [i for i in branch if (support | supports[i]).bit_count() <= span]
-            for i in branch:
-                if banned >> i & 1:
-                    continue
-                rest = uncovered & ~sets[i]
-                if not rest or rest.bit_count() <= reach[spare] and cover(
-                    rest, spare - 1, banned, support | supports[i]
-                ):
-                    chosen.append(i)
-                    return True
-                banned |= 1 << i
-            return False
-
-        proven = 0
-        try:
-            for limit in range(1, min(t, len(sets)) + 1):
-                if reach[limit] >= self.size and cover(full, limit - 1, 0, 0):
-                    ce = tuple(sorted(tuples[i] for i in chosen))
-                    return ExtensionCheck(False, True, ce, proven)
-                proven = limit
-        except _NodeBoundReached:
-            return ExtensionCheck(True, False, proven=proven)
-        finally:
-            nodes[0] = used
-            del cover  # the closure holds itself: free its lists now, not at the next GC
-        return ExtensionCheck(True, True, proven=t)
+def _reach(size: int, rows: list[tuple[int, tuple[int, ...]]]) -> list[int]:
+    """Sort (mask, tuple) rows by mask size, in place (ties keep row order),
+    and return the reach bound of their complements: no j of them cover more
+    than reach[j] vertices, the sum of the j largest sizes."""
+    rows.sort(key=lambda row: row[0].bit_count())
+    return list(accumulate((size - m.bit_count() for m, _ in rows), initial=0))
 
 
 def _setup(size: int, rows: list[tuple[int, tuple[int, ...]]], span: Optional[int]) -> tuple:
-    """A cover-search set-up from (mask, tuple) rows: reach, where no j
-    complements cover more than reach[j] vertices; the complements, largest
-    first (ties keep row order), without span only the inclusion-maximal
-    ones; their tuples; their tuples' vertices as supports; and per vertex
-    the indices of the complements holding it."""
+    """A cover-search set-up, less its reach bound, from (mask, tuple) rows
+    sorted by _reach: the complements, largest first, without span only the
+    inclusion-maximal ones (the reach bound counts the others too); their
+    tuples; with span, their tuples' vertices as supports (0 without); and
+    per vertex the indices of the complements holding it."""
     full = (1 << size) - 1
-    rows.sort(key=lambda row: row[0].bit_count())
-    reach = list(accumulate(((full ^ m).bit_count() for m, _ in rows), initial=0))  # dropped ones too
     comps, tuples, supports = [], [], []
     by_vertex, holders = [[] for _ in range(size)], [0] * size  # holders: by_vertex as bits
     for m, tup in rows:
-        c = full ^ m
-        vertices = [v for v in range(size) if c >> v & 1]
-        if span is None and reduce(and_, [holders[v] for v in vertices]):
+        c = rest = full ^ m
+        vertices, common = [], -1  # common: the complements holding all of c
+        while rest:  # c's vertices, one set bit at a time
+            low = rest & -rest
+            v = low.bit_length() - 1
+            vertices.append(v)
+            common &= holders[v]
+            rest ^= low
+        if span is None and common:
             continue  # a larger complement holds c, and a cover may trade c for it
+        i = len(comps)
         for v in vertices:
-            by_vertex[v].append(len(comps))
-            holders[v] |= 1 << len(comps)
+            by_vertex[v].append(i)
+            holders[v] |= 1 << i
         comps.append(c)
         tuples.append(tup)
-        supports.append(sum(1 << v for v in tup))
-    return reach, comps, tuples, supports, by_vertex
+        if span is not None:
+            supports.append(sum(1 << v for v in tup))
+    if span is None:  # no span to keep: the search only ORs these
+        supports = [0] * len(comps)
+    return comps, tuples, supports, by_vertex
 
 
-def _completion_table(edges: frozenset[frozenset[int]], size: int, arity: int) -> tuple[dict[int, int], int]:
-    """A table from the smaller of E* and its complement among the k-sets, and
-    its flip: a (k-1)-set's witness mask is (table.get(bits, 0) ^ flip) | bits.
+def _completion_table(sets: Iterable[Iterable[int]], flip: int) -> tuple[dict[int, int], int]:
+    """The completion table of the k-sets on one side of E*, and its flip: a
+    (k-1)-set's witness mask is (table.get(bits, 0) ^ flip) | bits.
 
-    With at most half the k-sets as edges, the table maps the vertex-set bits
-    of every (k-1)-subset of an edge to the bits of the vertices completing it
-    to an edge, and flip is 0.  With more, it records the non-edges the same
-    way, found in one walk over the k-sets, and flip is the full mask."""
-    sets: Iterable[frozenset[int]] = edges
-    flip = 0
-    if 2 * len(edges) > comb(size, arity):
-        sets = filterfalse(edges.__contains__, map(frozenset, combinations(range(size), arity)))
-        flip = (1 << size) - 1
+    The table maps the vertex-set bits of every (k-1)-subset of a given
+    k-set to the bits of the vertices completing it to a given one.  Given
+    the edges, flip is 0; given the non-edges, it is the full mask."""
     table: dict[int, int] = {}
     for e in sets:
         bits = 0
@@ -420,11 +492,17 @@ def complete_hypergraph(arity: int, size: int) -> Hypergraph:
 
 
 def random_hypergraph(arity: int, size: int, edge_prob: float, rng: Random) -> Hypergraph:
-    """Sample each k-subset as a uniform edge independently.
+    """Sample each k-subset as a uniform edge independently (_draw)."""
+    ksets, drawn = _draw(arity, size, edge_prob, rng)
+    return Hypergraph(arity, size, compress(ksets, drawn))
 
-    Iterates subsets in lexicographic order so results are reproducible for
-    a given generator state."""
+
+def _draw(arity: int, size: int, edge_prob: float, rng: Random) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """The k-subsets of the vertices in lexicographic order, and for each
+    whether it is drawn as an edge: one rng.random() each, below edge_prob,
+    so one generator state gives one draw."""
     if not (0.0 < edge_prob <= 1.0):
         raise InputError(f"edge_prob must lie in (0, 1], got {edge_prob}")
-    edges = [e for e in combinations(range(size), arity) if rng.random() < edge_prob]
-    return Hypergraph(arity, size, edges)
+    ksets = list(combinations(range(size), arity))
+    random = rng.random
+    return ksets, [random() < edge_prob for _ in ksets]

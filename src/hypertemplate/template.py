@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from random import Random
 from typing import Sequence
 
 from .errors import InputError
-from .hypergraph import Hypergraph, complete_hypergraph, random_hypergraph
+from .hypergraph import Hypergraph, _draw, _Level, complete_hypergraph
 
 # samples random_template draws per level before it degrades the target arity
 RETRY_BUDGET = 20
@@ -230,14 +231,18 @@ def random_template(
     target_f: Sequence[int],
     seed: int,
 ) -> Template:
-    """Sample each level's uniform edges independently with edge_prob, then
-    verify the extension property at target_f(n); resample unless it is
-    proven and, after RETRY_BUDGET samples, degrade f to the largest arity
-    that is proven to hold.
+    """Sample each level's uniform edges independently with edge_prob, as
+    random_hypergraph does, then verify the extension property at
+    target_f(n); resample unless it is proven and, after RETRY_BUDGET
+    samples, degrade f to the largest arity one more sample proves
+    (max_extension_arity).
 
     Deterministic for a given seed.  Any smaller f satisfying the axioms
     still yields a template, which makes degradation sound, and f = 1
-    always holds, so generation never fails."""
+    always holds, so generation never fails.  Each sample is checked on its
+    drawn k-sets (_Level._drawn) and only the kept one becomes a
+    Hypergraph, keeping the completion table, reach bound and set-up its
+    check built, so a later check of the level starts warm."""
     if len(level_sizes) != len(target_f):
         raise InputError("level_sizes and target_f must have equal length")
     if not level_sizes:
@@ -249,16 +254,13 @@ def random_template(
             raise InputError(f"level {n}: size {size} below arity {arity}")
         if not (1 <= tf <= size):
             raise InputError(f"level {n}: target f {tf} outside 1..{size}")
-        h = None
-        for _ in range(RETRY_BUDGET):
-            cand = random_hypergraph(arity, size, edge_prob, rng)
-            if cand.check_extension_property(tf).proven == tf:
-                h, f = cand, tf
+        for _ in range(RETRY_BUDGET + 1):  # the last sample is kept at the arity it proves
+            ksets, drawn = _draw(arity, size, edge_prob, rng)
+            level = _Level._drawn(arity, size, ksets, drawn)
+            f = level._check_extension(tf, None).proven
+            if f == tf:
                 break
-        else:
-            h = random_hypergraph(arity, size, edge_prob, rng)
-            f = max_extension_arity(h, tf)
-        levels.append((h, f))
+        levels.append((level._hypergraph(compress(ksets, drawn)), f))
     return Template(arity, levels, TailPolicy("complete_growing", 1))
 
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -307,12 +308,15 @@ class TestExtensionProperty:
         full = (1 << size) - 1
         masks = [m & full for m in masks]
         rows = [(m, (i,)) for i, m in enumerate(dict.fromkeys(m for m in masks if m != full))]
-        reach, comps, tuples, supports, by_vertex = hypergraph._setup(size, list(rows), None)
+        ordered = list(rows)
+        reach = hypergraph._reach(size, ordered)
+        comps, tuples, supports, by_vertex = hypergraph._setup(size, ordered, None)
         every = [full ^ m for m, _ in sorted(rows, key=lambda row: row[0].bit_count())]
+        assert [full ^ m for m, _ in ordered] == every
         assert comps == [c for c in every if not any(c != d and c & d == c for d in every)]
         assert reach[-1] == sum(c.bit_count() for c in every)
         assert by_vertex == [[i for i, c in enumerate(comps) if c >> v & 1] for v in range(size)]
-        assert hypergraph._setup(size, list(rows), size)[1] == every
+        assert hypergraph._setup(size, ordered, size)[0] == every
 
     def test_node_bound_stop_flagged(self, monkeypatch):
         h = Hypergraph(3, 4)  # fails at t = 2 once the search may visit a node
@@ -342,15 +346,23 @@ class TestExtensionProperty:
             return chk
 
         # a witness mask holds its own tuple's vertices, so no one complement
-        # covers and t = 1 ends at the reach bound, yet it builds the mode's
-        # whole set-up, which every later call in that mode reuses
+        # covers: t = 1 ends at the reach bound and keeps that bound but no
+        # set-up; the first search in a mode builds its set-up once, and
+        # every later call in that mode reuses that same object
         modes = (None, mode(calls[0][1]))
         for span in modes:
             same_as_cold(1, span)
-        kept = {span: h._cover[span is None] for span in modes}
+        assert not h._cover
+        reach = {span: h._reach[span is None] for span in modes}
+        kept = {}
         for t, offset in calls:
-            same_as_cold(t, mode(offset))
-        assert all(h._cover[span is None] is setup for span, setup in kept.items())
+            span = mode(offset)
+            same_as_cold(t, span)
+            if not h._reach_proves(t, span):  # this call searched
+                setup = h._cover[span is None]
+                assert kept.setdefault(span is None, setup) is setup
+        assert h._cover.keys() == kept.keys()
+        assert all(h._reach[span is None] is bound for span, bound in reach.items())
         # a stop on a warm level is not kept: the next call searches in full
         t, span = calls[-1][0], mode(calls[-1][1])
         bound = hypergraph.COVER_SEARCH_NODES
@@ -408,6 +420,16 @@ class TestExtensionProperty:
         for k, size in ((2, 1), (2, 5), (3, 2), (3, 6), (4, 5)):
             h = complete_hypergraph(k, size)
             assert all(h._reach_proves(t) for t in (1, 2, 7, 100))
+
+    def test_large_edgeless_level_answers_from_the_reach_bound(self):
+        # no single complement covers, so t = 1 needs only the reach bound;
+        # building the search's set-up first (per-vertex lists of about
+        # size^2 entries in all) took 21 s here
+        h = Hypergraph(2, 4000)
+        start = time.perf_counter()
+        assert h.check_extension_property(1) == hypergraph.ExtensionCheck(True, True, None, 1)
+        assert time.perf_counter() - start < 2.0
+        assert not h._cover
 
     def test_t_zero_rejected(self):
         with pytest.raises(InputError):
@@ -548,7 +570,7 @@ class TestConstruction:
         h = random_hypergraph(3, 7, 0.8, Random(4))
         checks = [(t, span) for t in range(1, 6) for span in (None, 4)]
         first = [h.check_extension_property(t, span) for t, span in checks]
-        assert all(setup[-1] is not None for setup in h._cover.values())  # both modes searched
+        assert set(h._cover) == {True, False}  # both modes searched
         copy = pickle.loads(pickle.dumps(h))
         assert copy == h and hash(copy) == hash(h)
         assert [copy.check_extension_property(t, span) for t, span in checks] == first

@@ -2,6 +2,8 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertemplate import hypergraph, template
 from hypertemplate.cli import run
@@ -138,7 +140,68 @@ class TestMaxExtensionArity:
             assert not h.check_extension_property(r + 1).holds
 
 
+def reference_random_template(arity, sizes, edge_prob, target, seed):
+    """random_template as a loop over whole sampled levels: a level is kept
+    when its check proves the target, and after RETRY_BUDGET samples one
+    more is kept at the largest arity it proves."""
+    rng = Random(seed)
+    levels = []
+    for size, tf in zip(sizes, target):
+        for _ in range(template.RETRY_BUDGET):
+            h = random_hypergraph(arity, size, edge_prob, rng)
+            if h.check_extension_property(tf).proven == tf:
+                f = tf
+                break
+        else:
+            h = random_hypergraph(arity, size, edge_prob, rng)
+            f = max_extension_arity(h, tf)
+        levels.append((h, f))
+    return Template(arity, levels)
+
+
 class TestRandomTemplate:
+    @given(
+        st.integers(2, 4),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(1, 9)), min_size=1, max_size=3),
+        st.sampled_from([1e-9, 0.3, 0.6, 0.85, 0.95, 1.0]),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_loop_over_whole_levels(self, arity, shapes, p, seed):
+        # equal later levels show that every level drew the same numbers;
+        # p = 1e-9 runs out of retries, p = 1.0 tables the non-edges
+        sizes = [arity + extra for extra, _ in shapes]
+        target = [min(f, size) for (_, f), size in zip(shapes, sizes)]
+        t = random_template(arity, sizes, p, target, seed)
+        assert t == reference_random_template(arity, sizes, p, target, seed)
+        for h, f in t.levels:
+            assert h._table is not None and True in h._reach  # kept from the sampler's check
+            cold = Hypergraph(arity, h.size, h.uniform_edges)
+            for tt in range(1, f + 2):
+                assert h.check_extension_property(tt) == cold.check_extension_property(tt)
+
+    @pytest.mark.parametrize("edge_prob", [0, -0.1, 1.5, float("nan")])
+    def test_edge_prob_outside_unit_interval_rejected(self, edge_prob, capsys):
+        message = r"^edge_prob must lie in \(0, 1\], got "
+        with pytest.raises(InputError, match=message):
+            random_template(3, [4], edge_prob, [1], seed=0)
+        # level 0's shape is read first, then its first sample draws
+        shape_errors = [
+            (([4], [1, 1]), "level_sizes and target_f must have equal length"),
+            (([], []), "need at least one level"),
+            (([2], [1]), "level 0: size 2 below arity 3"),
+            (([4], [5]), "level 0: target f 5 outside 1..4"),
+        ]
+        for (sizes, target), text in shape_errors:
+            with pytest.raises(InputError, match=f"^{text}$"):
+                random_template(3, sizes, edge_prob, target, seed=0)
+        with pytest.raises(InputError, match=message):
+            random_template(3, [4, 2], edge_prob, [1, 1], seed=0)
+        argv = ["gen-template", "--arity", "3", "--sizes", "4", "--target-f", "1", f"--edge-prob={edge_prob}"]
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: edge_prob must lie in (0, 1], got {float(edge_prob)}\n"
+
     def test_edge_prob_one_gives_complete_levels(self):
         t = random_template(3, [4, 5], 1.0, [3, 4], seed=0)
         assert all(is_complete_level(h) for h, _ in t.levels)

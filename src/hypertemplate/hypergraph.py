@@ -15,7 +15,9 @@ only for the search.  These checks live in _Level, which random_template
 also runs on a drawn level before only the accepted draw becomes a
 Hypergraph.  The same search, run once per vertex over the tuples whose
 window replacements can reach it, below the smallest cover so far, decides
-the window variant the agreement test rests on.
+the window variant the agreement test rests on; a Hypergraph keeps that
+test's strongest exhaustive result per window start, which answers every
+later check it decides.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ class Hypergraph(_Level):
     and helpers come from _Level.
     """
 
-    __slots__ = ("uniform_edges", "_mask_cache")
+    __slots__ = ("uniform_edges", "_mask_cache", "_kept")
 
     def __init__(self, arity: int, size: int, uniform_edges: Iterable[Iterable[int]] = ()):
         """The level with these uniform edges, each read once.  All edges
@@ -218,6 +220,7 @@ class Hypergraph(_Level):
         super().__init__(arity, size, None)
         object.__setattr__(self, "uniform_edges", frozenset(edges))
         object.__setattr__(self, "_mask_cache", {})
+        object.__setattr__(self, "_kept", {})  # _agreement_check's results by window start
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Hypergraph is immutable")
@@ -357,7 +360,17 @@ class Hypergraph(_Level):
         search runs over the tuples whose window mask holds w (once per
         distinct set of such masks), all under one node bound, for at most
         one tuple fewer than the smallest cover so far; a single tuple
-        always has a witness among its own vertices."""
+        always has a witness among its own vertices.
+
+        Each call searches afresh, but an exhaustive answer at a cap T
+        decides every cap t <= T, and a counterexample of c tuples every
+        cap: it answers t >= c with itself and t < c with "holds".  The
+        cover search tries sizes from 1 up, so its first cover at the
+        smallest size, and the nodes it spends on the way, do not depend on
+        the cap, and a smaller cap runs a prefix of the same search; here
+        each vertex's search is capped no higher under a smaller t, so the
+        same first vertex reaches the global minimum.  _agreement_check
+        keeps results by that rule."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         if start <= 0:
@@ -391,6 +404,34 @@ class Hypergraph(_Level):
             if proven < 2:
                 break
         return ExtensionCheck(best is None, exhaustive, best, proven)
+
+    def _agreement_check(self, t: int, start: int) -> tuple[ExtensionCheck, Optional[tuple[tuple[int, ...], ...]]]:
+        """check_window_extension(t, start) for t >= 1, as the agreement
+        test runs it, with its counterexample's window replacements (None
+        when it holds).
+
+        Per window start (0 for the plain check) the level keeps its
+        strongest exhaustive result: the largest count proven, and the
+        smallest counterexample with its replacements when there is one.
+        A check the kept result decides (see check_window_extension) is
+        answered from it without a search.  A plain count proven at T also
+        answers window checks up to T, since a window counterexample has no
+        common witness either; such an answer is a proof even where the
+        window search itself would have stopped at the node bound.  A result
+        that is not exhaustive is never kept."""
+        start = max(start, 0)
+        kept = self._kept
+        proven, ce, moved = kept.get(start, (0, None, None))
+        if ce is not None and proven < t:
+            return ExtensionCheck(False, True, ce, proven), moved
+        if max(proven, kept.get(0, (0,))[0]) >= t:
+            return ExtensionCheck(True, True, proven=t), None
+        chk = self.check_window_extension(t, start)
+        ce = chk.counterexample
+        moved = None if ce is None else self._window_replacements(ce, start)
+        if chk.exhaustive:
+            kept[start] = (chk.proven, ce, moved)
+        return chk, moved
 
     def _window(self, tup: tuple[int, ...], start: int) -> Iterable[tuple[int, ...]]:
         """The window replacements of tup, in product order."""

@@ -2,11 +2,13 @@
 
 A scenario fixes a template, a finite index set with per-index depths, and
 a consistent family of limit parameter tuples together with per-index
-approximations.  Agreement levels between an approximation and its limit
-are measured through signatures; a capacity table G converts agreement
-into the number of instances an index can absorb; a bounded-multiplicity
-greedy assignment distributes instances over indices; and realization is
-then verified per index with the positive-type decision procedure.
+approximations.  The agreement level between an approximation and its
+limit is the first index at which their signatures differ, capped at the
+index depth and read off the stems in closed form; a capacity table G
+converts agreement into the number of instances an index can absorb; a
+bounded-multiplicity greedy assignment distributes instances over indices;
+and realization is then verified per index with the positive-type
+decision procedure.
 
 Finite index sets cannot emulate the regularity that gives the original
 argument its room, so infeasibility of the assignment is a first-class
@@ -24,7 +26,7 @@ from .errors import InputError
 from .template import Template
 from .tree import Stem
 from .typecheck import PositiveTypeSpec, decide_positive_type
-from .signature import ParamType, f_signature
+from .signature import ParamType, check_signature_input, first_difference, pattern_index
 
 Capacity = Union[int, float]
 
@@ -46,9 +48,19 @@ class Scenario:
 
 
 def validate_scenario(sc: Scenario) -> None:
+    """Raise InputError unless the scenario is well formed: index depths of
+    at least 1, one tuple per index in each instance with stems of that
+    index's depth, limit stems of one common length reaching every depth
+    and a consistent limit family.  Each per-index type is also checked
+    here, once, as f_signature would check it at its index's depth, and
+    each limit's pattern, so build_distribution reads agreement levels
+    with no check of its own."""
     t = sc.template
     if not sc.depths:
         raise InputError("scenario needs at least one index")
+    for ti, d in enumerate(sc.depths):
+        if d < 1:
+            raise InputError(f"index {ti}: depth must be >= 1, got {d}")
     lim_len = None
     for a, inst in enumerate(sc.instances):
         if len(inst.per_index) != len(sc.depths):
@@ -69,27 +81,35 @@ def validate_scenario(sc: Scenario) -> None:
         spec = PositiveTypeSpec(params=tuple(i.limit.stems for i in sc.instances))
         if not decide_positive_type(t, spec).consistent:
             raise InputError("the limit family is not consistent")
+    # the limits' stems are in the tree and long enough, by the checks above
+    for inst in sc.instances:
+        for pt, d in zip(inst.per_index, sc.depths):
+            check_signature_input(t, pt, d)
+        pattern_index(inst.limit.equality)
 
 
 def agreement_level(sc: Scenario, alpha: int, ti: int) -> int:
     """Largest signature index n <= the index depth on which the per-index
-    tuple's signature agrees with the limit tuple's.  Always >= 0."""
+    tuple's signature agrees with the limit tuple's.  Always >= 0.
+
+    Checks both types as f_signature would, then reads the level off their
+    stems in closed form (signature.first_difference); build_distribution,
+    having checked every type once in validate_scenario, reads it directly.
+    The cap stays at the index depth."""
     t = sc.template
     inst = sc.instances[alpha]
     depth = sc.depths[ti]
-    sig_idx = f_signature(t, inst.per_index[ti], depth).values
-    sig_lim = f_signature(t, inst.limit, depth).values
-    n = 0
-    for a, b in zip(sig_idx, sig_lim):
-        if a != b or n >= depth:
-            break
-        n += 1
-    return min(n, depth)
+    for pt in (inst.per_index[ti], inst.limit):
+        check_signature_input(t, pt, depth)
+    return first_difference(t, inst.per_index[ti], inst.limit, depth)
 
 
 def capacity(sc: Scenario, alpha: int, ti: int, g_table: Sequence[Capacity]) -> Capacity:
     """Table lookup G(n(alpha, t)); infinity permitted."""
-    n = agreement_level(sc, alpha, ti)
+    return _lookup(g_table, agreement_level(sc, alpha, ti))
+
+
+def _lookup(g_table: Sequence[Capacity], n: int) -> Capacity:
     if n >= len(g_table):
         raise InputError(f"G table of length {len(g_table)} cannot answer level {n}")
     return g_table[n]
@@ -122,10 +142,10 @@ def build_distribution(
     least-loaded eligible index with room, ties to the lowest index; every
     instance must land somewhere, else Infeasible."""
     validate_scenario(sc)
-    N = len(sc.depths)
+    t, N = sc.template, len(sc.depths)
     caps = [
-        [capacity(sc, a, ti, g_table) for ti in range(N)]
-        for a in range(len(sc.instances))
+        [_lookup(g_table, first_difference(t, pt, inst.limit, d)) for pt, d in zip(inst.per_index, sc.depths)]
+        for inst in sc.instances
     ]
     bounds: list[Capacity] = []
     for ti in range(N):

@@ -12,7 +12,9 @@ lexicographically, so the predicate of stem prefix p sits at index
 1 + (number of shorter predicates) + (mixed-radix rank of p over the level
 sizes).  A type's stems extend at most (k-1) * depth predicates, so every
 other value is 0 and a signature costs O(k * depth) to fill in;
-``oracle.naive_f_signature`` keeps the enumeration as a cross-check.
+``oracle.naive_f_signature`` keeps the enumeration as a cross-check.  The
+same layout gives the first index at which two types' signatures differ
+(first_difference) from their stems' prefixes, with no signature built.
 
 The agreement test, and F and G over it, are decided level by level with
 the extension check's cover search, so "holds" is a proof unless a node
@@ -142,13 +144,10 @@ class SignatureFunction:
         return self.values[:n]
 
 
-def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
-    """Code the type: value 0 is the equality-pattern index, value m >= 1
-    is the bitmask of variables whose stem extends the m-th predicate.
-
-    The predicate of stem prefix p sits at 1 + (number of predicates
-    shorter than p) + (mixed-radix rank of p), so only the (k-1) * depth
-    prefixes of the stems are written; every other value is 0."""
+def check_signature_input(t: Template, ptype: ParamType, depth: int) -> tuple[int, list[Stem]]:
+    """Raise InputError unless f_signature can code the type at depth: k-1
+    stems in the tree, each of length >= depth, a canonical equality
+    pattern and depth >= 1.  Returns the pattern's code and the stems."""
     if len(ptype.stems) != t.arity - 1:
         raise InputError(f"expected {t.arity - 1} stems, got {len(ptype.stems)}")
     stems = [require_in_tree(t, s, "parameter stem") for s in ptype.stems]
@@ -157,6 +156,17 @@ def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
     code = pattern_index(ptype.equality)
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
+    return code, stems
+
+
+def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
+    """Code the type: value 0 is the equality-pattern index, value m >= 1
+    is the bitmask of variables whose stem extends the m-th predicate.
+
+    The predicate of stem prefix p sits at 1 + (number of predicates
+    shorter than p) + (mixed-radix rank of p), so only the (k-1) * depth
+    prefixes of the stems are written; every other value is 0."""
+    code, stems = check_signature_input(t, ptype, depth)
     sizes = [t.level_size(l) for l in range(depth)]
     # the index of each length's first predicate, then one past the last
     offsets = list(accumulate(accumulate(sizes, mul), initial=1))
@@ -168,6 +178,34 @@ def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
             rank = rank * sizes[l] + s[l]
             values[offset + rank] |= 1 << j
     return SignatureFunction(tuple(values), depth)
+
+
+def first_difference(t: Template, a: ParamType, b: ParamType, depth: int) -> int:
+    """The first index at which the depth-depth signatures of two types
+    that check_signature_input accepts differ, capped at depth, read off
+    the stems' prefixes without building either signature.
+
+    Index 0 is the pattern code, and canonical patterns have distinct
+    codes.  Level l's values start at 1 + (count of shorter predicates),
+    and the one r places on holds which variables' stems have the
+    length-(l + 1) prefix of rank r.  Up to the first level where some pair
+    of stems differs, the two types hold the same values; there, pairs
+    that agree sit at the same ranks in both, so the values differ exactly
+    at the ranks of the pairs that differ, and the least, capped, is the
+    answer."""
+    if a.equality != b.equality:
+        return 0
+    offset, width, ranks = 1, 1, [0] * len(a.stems)
+    for l in range(depth):
+        size = t.level_size(l)
+        ranks = [r * size for r in ranks]  # the common prefixes' ranks, one level down
+        differ = [r + min(x[l], y[l]) for r, x, y in zip(ranks, a.stems, b.stems) if x[l] != y[l]]
+        if differ:
+            return min(offset + min(differ), depth)
+        ranks = [r + x[l] for r, x in zip(ranks, a.stems)]
+        width *= size
+        offset += width
+    return depth
 
 
 # -- the agreement test ----------------------------------------------------
@@ -237,7 +275,12 @@ def _agreement_scan(t: Template, n: int, cap: Optional[int] = None):
     most cap tuples (with no cap, the level's count of (k-1)-tuples), each
     cover of c tuples lowering cap to c - 1.  Returns the first level with
     the smallest cover, its window replacements and tuples, or None; and
-    the least count a stopped check proved, INFINITE when none stopped."""
+    the least count a stopped check proved, INFINITE when none stopped.
+
+    The checks go through Hypergraph._agreement_check, so a level answers
+    from its kept result per window start whenever that decides the cap:
+    F_estimate's loop over n searches each level past the coverage level
+    once per cap, and G_estimate reuses F_estimate's checks."""
     lc = coverage_level(t, n)
     sizes = [t.level_size(l) for l in range(lc + 1)]
     start = n - 1 - predicate_count(t, lc) - (prod(sizes[:lc]) - 1) * sizes[lc]
@@ -245,12 +288,12 @@ def _agreement_scan(t: Template, n: int, cap: Optional[int] = None):
     for l in range(lc, t.prefix_len):
         h = t._graphs[l]
         window = start if l == lc else 0
-        chk = h.check_window_extension(h.size ** (h.arity - 1) if cap is None else cap, window)
+        chk, moved = h._agreement_check(h.size ** (h.arity - 1) if cap is None else cap, window)
         if not chk.exhaustive:
             proven = min(proven, chk.proven)
         if not chk.holds:
             ce = chk.counterexample
-            found, cap = (l, h._window_replacements(ce, window), ce), len(ce) - 1
+            found, cap = (l, moved, ce), len(ce) - 1
     return found, proven
 
 

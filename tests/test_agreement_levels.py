@@ -3,6 +3,7 @@ scans every level of every pair of families, and against the sampled
 search, every refutation of which is exact; and the one-pass analytic
 capacity table against its per-n definition."""
 
+import pickle
 from itertools import combinations
 from math import prod
 from unittest import mock
@@ -127,6 +128,29 @@ class TestAgreementLevels:
         else:
             assert naive_oplus_test(t, G.value + 1, n) is not None
             assert naive_oplus_test(t, G.value, n) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(templates(k_max=3, levels_max=2, size_max=4), st.data())
+    def test_kept_checks_change_no_result(self, t, data):
+        # F, G and the test read the levels' kept checks; run in any order
+        # on one template they return what each returns on a cold copy
+        stems = prod(t.level_size(l) for l in range(t.prefix_len))
+        if stems ** (t.arity - 1) > (16 if t.arity == 3 else 9):
+            t = Template(t.arity, t.levels[:1], t.tail)
+        s = data.draw(st.integers(1, 3 if t.arity == 2 else 2), label="s")
+        n = data.draw(st.integers(0, analytic_f_bound(t, s) + 1), label="n")
+        runs = {"F": lambda u: F_estimate(u, s), "G": lambda u: G_estimate(u, n), "oplus": lambda u: oplus_test(u, s, n)}
+
+        def cold():
+            u = pickle.loads(pickle.dumps(t))
+            assert not any(h._kept for h in u._graphs)
+            return u
+
+        alone = {name: run(cold()) for name, run in runs.items()}
+        for order in (("G", "F", "oplus"), ("F", "G", "oplus"), ("oplus", "G", "F")):
+            u = cold()
+            assert {name: runs[name](u) for name in order} == alone
+        assert (alone["oplus"].counterexample is None) == (naive_oplus_test(t, s, n) is None)
 
     def test_returns_without_drawing_when_no_level_can_fail(self):
         # level 0 is complete; on level 1 (no edges) a vertex's witness mask

@@ -256,6 +256,9 @@ MALFORMED = {
     "scenario without index depths": (
         "simulate-saturation", _edit(SCENARIO_TEXT, "depths 2", "depths"), None,
     ),
+    "scenario with index depths -1 and 0 and no instance": (
+        "simulate-saturation", _edit(SCENARIO_TEXT, "depths 2", "depths -1 0"), None,
+    ),
     "two values on the typespec params line": (
         "decide-type", TEMPLATE_TEXT, _edit(TYPESPEC_TEXT, "params 1", "params 1 1"),
     ),

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import pickle
 import time
 from random import Random
 
@@ -507,6 +508,57 @@ class TestWindowExtension:
         assert counters[0] == [13]
         monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 12)
         assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, False, None, 1)
+
+
+class TestKeptAgreementChecks:
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 7),
+        st.sampled_from([0.3, 0.6, 0.85]),
+        st.integers(0, 2**31),
+        st.lists(st.tuples(st.integers(1, 5), st.integers(-1, 7)), min_size=1, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_interleaved_queries_match_a_cold_copy(self, arity, size, p, seed, queries):
+        # whatever was kept before, each answer is the fresh check's on a
+        # copy with nothing kept, and so are the window replacements
+        h = random_hypergraph(arity, size, p, Random(seed))
+        for t, start in queries:
+            chk, moved = h._agreement_check(t, start)
+            cold = pickle.loads(pickle.dumps(h))
+            assert not cold._kept
+            assert chk == cold.check_window_extension(t, start)
+            assert moved == (None if chk.holds else cold._window_replacements(chk.counterexample, start))
+
+    def test_kept_counterexample_answers_every_cap(self, monkeypatch):
+        h = random_hypergraph(3, 8, 0.5, Random(1))
+        ce = ((2, 3), (4, 5))
+        assert h._agreement_check(4, 4)[0] == hypergraph.ExtensionCheck(False, True, ce, 1)
+        monkeypatch.setattr(Hypergraph, "_cover_search", None)  # any search would raise
+        for t in (2, 3, 9):
+            assert h._agreement_check(t, 4) == (hypergraph.ExtensionCheck(False, True, ce, 1), h._window_replacements(ce, 4))
+        assert h._agreement_check(1, 4) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
+
+    def test_plain_proof_answers_window_checks(self, monkeypatch):
+        # no two tuples lack a witness, proven by a search past the reach bound
+        h = random_hypergraph(3, 6, 0.6, Random(1))
+        assert not h._reach_proves(2)
+        assert h._agreement_check(2, -1) == (hypergraph.ExtensionCheck(True, True, None, 2), None)
+        assert h._kept == {0: (2, None, None)}
+        monkeypatch.setattr(Hypergraph, "_cover_search", None)
+        for start in range(0, 7):
+            for t in (1, 2):
+                assert h._agreement_check(t, start) == (hypergraph.ExtensionCheck(True, True, None, t), None)
+
+    def test_stopped_checks_not_kept(self, monkeypatch):
+        # the window check of test_one_node_bound_for_every_vertex
+        h = random_hypergraph(3, 6, 0.6, Random(5))
+        monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 12)
+        assert h._agreement_check(2, 4) == (hypergraph.ExtensionCheck(True, False, None, 1), None)
+        assert not h._kept
+        monkeypatch.undo()
+        assert h._agreement_check(2, 4) == (hypergraph.ExtensionCheck(True, True, None, 2), None)
+        assert h._kept == {4: (2, None, None)}
 
 
 class TestConstruction:

@@ -1,11 +1,20 @@
 from math import inf
+from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph
 from hypertemplate.template import TailPolicy, Template, complete_template
-from hypertemplate.signature import ParamType, analytic_g_table, predicate_count
+from hypertemplate.signature import (
+    ParamType,
+    analytic_g_table,
+    equality_patterns,
+    f_signature,
+    first_difference,
+    predicate_count,
+)
 from hypertemplate.satsim import (
     Distribution,
     Infeasible,
@@ -17,6 +26,7 @@ from hypertemplate.satsim import (
     validate_scenario,
     verify_realization,
 )
+from test_acceptance import saturation_scenario
 
 
 def complete_scenario(depths=(2, 3), instances=2):
@@ -162,3 +172,126 @@ class TestVerifyRealization:
         d = build_distribution(sc, g_table_for(sc), seed=0)
         assert isinstance(d, Distribution)
         assert verify_realization(sc, d).fully_realized
+
+
+def reference_agreement(t, a, b, depth):
+    """The agreement level by its definition: build both types' depth-depth
+    signatures and count the leading indices they share, capped at depth."""
+    n = 0
+    for x, y in zip(f_signature(t, a, depth).values, f_signature(t, b, depth).values):
+        if x != y or n >= depth:
+            break
+        n += 1
+    return min(n, depth)
+
+
+@st.composite
+def type_pairs(draw):
+    """A template (k in 2..4, stored level sizes 1..4, so that size-1 levels
+    bring deeper predicates below small depths; any tail growth) and two
+    types of one stem length, the second keeping a prefix of the first's
+    stems, each with an equality pattern that may merge variables and may
+    differ from the other's; and a depth <= the stem length."""
+    k = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    t = Template(k, [(Hypergraph(k, s), 1) for s in sizes], TailPolicy("complete_growing", draw(st.integers(1, 2))))
+    stem_len = draw(st.integers(1, 6))
+    stem = st.tuples(*(st.integers(0, t.level_size(l) - 1) for l in range(stem_len)))
+
+    def ptype(base):
+        # each class's stem keeps a drawn prefix of base's stem for it
+        eq = draw(st.sampled_from(equality_patterns(k - 1)))
+        by_class = {}
+        for c in sorted(set(eq)):
+            keep = base[c][: draw(st.integers(0, stem_len))]
+            by_class[c] = keep + draw(stem)[len(keep):]
+        return ParamType(stems=tuple(by_class[c] for c in eq), equality=eq)
+
+    a = ptype([()] * (k - 1))
+    b = ptype(a.stems)
+    return t, a, b, draw(st.integers(1, stem_len))
+
+
+class TestClosedFormAgreement:
+    @settings(max_examples=400, deadline=None)
+    @given(type_pairs())
+    def test_matches_signature_comparison(self, case):
+        t, a, b, depth = case
+        assert first_difference(t, a, b, depth) == reference_agreement(t, a, b, depth)
+        assert first_difference(t, b, a, depth) == first_difference(t, a, b, depth)
+
+    def test_every_pair_of_criterion_6_scenarios(self):
+        # the 200 scenarios acceptance criterion 6 draws, in its order
+        pairs, seed, scenarios = 0, 0, 0
+        while scenarios < 200:
+            seed += 1
+            sc = saturation_scenario(Random(5000 + seed))
+            if sc is None:
+                continue
+            scenarios += 1
+            for a, inst in enumerate(sc.instances):
+                for ti, (pt, d) in enumerate(zip(inst.per_index, sc.depths)):
+                    assert agreement_level(sc, a, ti) == reference_agreement(sc.template, pt, inst.limit, d)
+                    pairs += 1
+        assert pairs == 1029
+
+
+class TestMalformedScenarios:
+    """Each scenario has one fault in instance 1, index 0 of a k = 3
+    template; the messages are the ones f_signature and the table lookup
+    raised when agreement_level built both signatures."""
+
+    T = complete_template(3, 3)  # level sizes 1, 2, 3, ...
+    GOOD = ParamType(stems=((0, 1), (0, 0)))
+    LIMIT = ParamType(stems=((0, 1, 2), (0, 0, 1)))
+
+    def scenario(self, per=GOOD, limit=LIMIT):
+        other = Instance(limit=ParamType(stems=((0, 1, 0), (0, 0, 0))), per_index=(self.GOOD,))
+        return Scenario(template=self.T, depths=(2,), instances=(other, Instance(limit=limit, per_index=(per,))))
+
+    FAULTS = {
+        "stem outside the tree": (dict(per=ParamType(stems=((0, 1), (0, 2)))), "parameter stem (0, 2) leaves the tree"),
+        "three stems": (dict(per=ParamType(stems=((0, 1), (0, 0), (0, 0)))), "expected 2 stems, got 3"),
+        "short second stem": (
+            dict(per=ParamType(stems=((0, 1), (0,)))), "stems must have length >= 2 to answer all predicates"
+        ),
+        "non-canonical pattern": (
+            dict(per=ParamType(stems=((0, 1), (0, 0)), equality=(1, 0))),
+            "(1, 0) is not a canonical restricted growth string",
+        ),
+        "non-canonical limit pattern": (
+            dict(limit=ParamType(stems=LIMIT.stems, equality=(1, 0))),
+            "(1, 0) is not a canonical restricted growth string",
+        ),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_same_message_from_both_entry_points(self, fault):
+        kwargs, message = self.FAULTS[fault]
+        sc = self.scenario(**kwargs)
+        table = analytic_g_table(self.T, 1 + predicate_count(self.T, 2))
+        for call in (lambda: build_distribution(sc, table, 0), lambda: agreement_level(sc, 1, 0)):
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_short_table_same_message(self):
+        sc = self.scenario()
+        assert [agreement_level(sc, a, 0) for a in (0, 1)] == [2, 2]
+        for call in (lambda: build_distribution(sc, [3], 0), lambda: capacity(sc, 1, 0, [3])):
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == "G table of length 1 cannot answer level 2"
+
+    @pytest.mark.parametrize("instances", [0, 1])
+    def test_depths_below_one_rejected(self, instances):
+        for depths in ((-1, 0), (0,), (2, 0)):
+            insts = tuple(
+                Instance(limit=self.LIMIT, per_index=tuple(ParamType(stems=(self.LIMIT.stems[0][:d],) * 2) for d in depths))
+                for _ in range(instances)
+            )
+            sc = Scenario(template=self.T, depths=depths, instances=insts)
+            with pytest.raises(InputError, match="depth must be >= 1"):
+                validate_scenario(sc)
+            with pytest.raises(InputError, match="depth must be >= 1"):
+                build_distribution(sc, [inf] * 8, 0)

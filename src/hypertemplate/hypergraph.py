@@ -16,8 +16,8 @@ also runs on a drawn level before only the accepted draw becomes a
 Hypergraph.  The same search, run once per vertex over the tuples whose
 window replacements can reach it, below the smallest cover so far, decides
 the window variant the agreement test rests on; a Hypergraph keeps that
-test's strongest exhaustive result per window start, which answers every
-later check it decides.
+test's last exhaustive result per window start, with its cap, which
+answers every later check whose fresh call would return the same.
 """
 
 from __future__ import annotations
@@ -363,14 +363,17 @@ class Hypergraph(_Level):
         always has a witness among its own vertices.
 
         Each call searches afresh, but an exhaustive answer at a cap T
-        decides every cap t <= T, and a counterexample of c tuples every
-        cap: it answers t >= c with itself and t < c with "holds".  The
-        cover search tries sizes from 1 up, so its first cover at the
-        smallest size, and the nodes it spends on the way, do not depend on
-        the cap, and a smaller cap runs a prefix of the same search; here
-        each vertex's search is capped no higher under a smaller t, so the
-        same first vertex reaches the global minimum.  _agreement_check
-        keeps results by that rule."""
+        gives the answer at every cap t <= T: a counterexample of c tuples
+        when c <= t, else "holds" with proven = t.  The cover search tries
+        sizes from 1 up, so its first cover at the smallest size, and the
+        nodes it spends on the way, do not depend on the cap, and a smaller
+        cap runs a prefix of the same search, within the node bound.  Here
+        each vertex's search is capped at min(t, its cap under T), so the
+        same first vertex reaches the global minimum.  With start <= 0 a
+        counterexample also gives the answer at every cap above T; with a
+        window it does not, as a larger cap searches the vertices before
+        the counterexample's deeper, all under one node bound.
+        _agreement_check keeps results by these rules."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         if start <= 0:
@@ -410,27 +413,26 @@ class Hypergraph(_Level):
         test runs it, with its counterexample's window replacements (None
         when it holds).
 
-        Per window start (0 for the plain check) the level keeps its
-        strongest exhaustive result: the largest count proven, and the
-        smallest counterexample with its replacements when there is one.
-        A check the kept result decides (see check_window_extension) is
-        answered from it without a search.  A plain count proven at T also
-        answers window checks up to T, since a window counterexample has no
-        common witness either; such an answer is a proof even where the
-        window search itself would have stopped at the node bound.  A result
-        that is not exhaustive is never kept."""
+        Per window start (0 for the plain check) the level keeps its last
+        exhaustive result with the cap T it was found at, and answers from
+        it, without a search, every check whose fresh call would return the
+        same (see check_window_extension): at any start a cap t <= T, and at
+        start 0 a counterexample also answers every cap above T.  A window
+        counterexample does not: a larger cap searches the vertices before
+        it deeper, under the one node bound, which can stop the check.  A
+        result that is not exhaustive is never kept, so what ran before on
+        the level changes no answer."""
         start = max(start, 0)
-        kept = self._kept
-        proven, ce, moved = kept.get(start, (0, None, None))
-        if ce is not None and proven < t:
-            return ExtensionCheck(False, True, ce, proven), moved
-        if max(proven, kept.get(0, (0,))[0]) >= t:
-            return ExtensionCheck(True, True, proven=t), None
+        cap, chk, moved = self._kept.get(start, (0, None, None))
+        if chk is not None and (t <= cap or start == 0 and not chk.holds):
+            if chk.holds or len(chk.counterexample) > t:
+                return ExtensionCheck(True, True, proven=t), None
+            return chk, moved
         chk = self.check_window_extension(t, start)
         ce = chk.counterexample
         moved = None if ce is None else self._window_replacements(ce, start)
         if chk.exhaustive:
-            kept[start] = (chk.proven, ce, moved)
+            self._kept[start] = (t, chk, moved)
         return chk, moved
 
     def _window(self, tup: tuple[int, ...], start: int) -> Iterable[tuple[int, ...]]:

@@ -278,9 +278,10 @@ def _agreement_scan(t: Template, n: int, cap: Optional[int] = None):
     the least count a stopped check proved, INFINITE when none stopped.
 
     The checks go through Hypergraph._agreement_check, so a level answers
-    from its kept result per window start whenever that decides the cap:
-    F_estimate's loop over n searches each level past the coverage level
-    once per cap, and G_estimate reuses F_estimate's checks."""
+    from its kept result per window start whenever a fresh check would
+    return the same: F_estimate's loop over n searches each level past the
+    coverage level once per cap, and G_estimate reuses F_estimate's checks
+    where its caps are no larger."""
     lc = coverage_level(t, n)
     sizes = [t.level_size(l) for l in range(lc + 1)]
     start = n - 1 - predicate_count(t, lc) - (prod(sizes[:lc]) - 1) * sizes[lc]

@@ -6,12 +6,14 @@ capacity table against its per-n definition."""
 import pickle
 from itertools import combinations
 from math import prod
+from random import Random
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypertemplate import signature
-from hypertemplate.hypergraph import Hypergraph
+from hypertemplate import hypergraph, signature
+from hypertemplate.hypergraph import Hypergraph, random_hypergraph
 from hypertemplate.oracle import SearchBudget, naive_oplus_test, sampled_oplus_test
 from hypertemplate.signature import (
     F_estimate,
@@ -58,6 +60,24 @@ def assert_replays(t, ce, n):
     for a, b in zip(ce.consistent_family, ce.inconsistent_family, strict=True):
         depth = len(a.stems[0])
         assert f_signature(t, a, depth).restrict(n) == f_signature(t, b, depth).restrict(n)
+
+
+def assert_kept_checks_change_no_result(t, s, n):
+    """F_estimate(t, s), G_estimate(t, n) and oplus_test(t, s, n), run in
+    three orders on one copy of t, each equal what it returns on a cold
+    copy; returns the test's result."""
+    runs = {"F": lambda u: F_estimate(u, s), "G": lambda u: G_estimate(u, n), "oplus": lambda u: oplus_test(u, s, n)}
+
+    def cold():
+        u = pickle.loads(pickle.dumps(t))
+        assert not any(h._kept for h in u._graphs)
+        return u
+
+    alone = {name: run(cold()) for name, run in runs.items()}
+    for order in (("G", "F", "oplus"), ("F", "G", "oplus"), ("oplus", "G", "F")):
+        u = cold()
+        assert {name: runs[name](u) for name in order} == alone
+    return alone["oplus"]
 
 
 class TestAgreementLevels:
@@ -133,24 +153,29 @@ class TestAgreementLevels:
     @given(templates(k_max=3, levels_max=2, size_max=4), st.data())
     def test_kept_checks_change_no_result(self, t, data):
         # F, G and the test read the levels' kept checks; run in any order
-        # on one template they return what each returns on a cold copy
+        # on one template they return what each returns on a cold copy,
+        # also under a node bound small enough to stop some checks
         stems = prod(t.level_size(l) for l in range(t.prefix_len))
         if stems ** (t.arity - 1) > (16 if t.arity == 3 else 9):
             t = Template(t.arity, t.levels[:1], t.tail)
         s = data.draw(st.integers(1, 3 if t.arity == 2 else 2), label="s")
         n = data.draw(st.integers(0, analytic_f_bound(t, s) + 1), label="n")
-        runs = {"F": lambda u: F_estimate(u, s), "G": lambda u: G_estimate(u, n), "oplus": lambda u: oplus_test(u, s, n)}
+        bound = data.draw(st.sampled_from([None, 5, 10, 20, 40]), label="bound")
+        with pytest.MonkeyPatch.context() as m:
+            if bound is not None:
+                m.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
+            test = assert_kept_checks_change_no_result(t, s, n)
+        if bound is None or test.exhaustive:
+            assert (test.counterexample is None) == (naive_oplus_test(t, s, n) is None)
 
-        def cold():
-            u = pickle.loads(pickle.dumps(t))
-            assert not any(h._kept for h in u._graphs)
-            return u
-
-        alone = {name: run(cold()) for name, run in runs.items()}
-        for order in (("G", "F", "oplus"), ("F", "G", "oplus"), ("oplus", "G", "F")):
-            u = cold()
-            assert {name: runs[name](u) for name in order} == alone
-        assert (alone["oplus"].counterexample is None) == (naive_oplus_test(t, s, n) is None)
+    def test_kept_checks_change_no_result_under_a_node_bound(self, monkeypatch):
+        # within 10 nodes the plain check proves that no three tuples lack
+        # a witness, but the window check at n = 2 and 3 stops: the test
+        # stays inexact after F or G has run, as on a cold copy
+        t = Template(2, [(random_hypergraph(2, 5, 0.6, Random(1)), 1)], TailPolicy("complete_growing", 1))
+        monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 10)
+        for n in (2, 3):
+            assert not assert_kept_checks_change_no_result(t, 3, n).exhaustive
 
     def test_returns_without_drawing_when_no_level_can_fail(self):
         # level 0 is complete; on level 1 (no edges) a vertex's witness mask

@@ -517,38 +517,48 @@ class TestKeptAgreementChecks:
         st.sampled_from([0.3, 0.6, 0.85]),
         st.integers(0, 2**31),
         st.lists(st.tuples(st.integers(1, 5), st.integers(-1, 7)), min_size=1, max_size=10),
+        st.sampled_from([None, 5, 10, 20, 40]),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_interleaved_queries_match_a_cold_copy(self, arity, size, p, seed, queries):
+    # within 5 nodes the window check at start 3 finds two tuples at cap
+    # 2, but stops at cap 3, where the vertices before them search deeper
+    @example(2, 6, 0.3, 8, [(2, 3), (3, 3)], 5)
+    # within 10 nodes the plain check proves cap 3, but the window check at
+    # start 1 and cap 3 stops
+    @example(2, 5, 0.6, 1, [(3, 0), (3, 1)], 10)
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_queries_match_a_cold_copy(self, arity, size, p, seed, queries, bound):
         # whatever was kept before, each answer is the fresh check's on a
-        # copy with nothing kept, and so are the window replacements
+        # copy with nothing kept, and so are the window replacements; a
+        # small node bound stops some checks, the fresh ones among them
         h = random_hypergraph(arity, size, p, Random(seed))
-        for t, start in queries:
-            chk, moved = h._agreement_check(t, start)
-            cold = pickle.loads(pickle.dumps(h))
-            assert not cold._kept
-            assert chk == cold.check_window_extension(t, start)
-            assert moved == (None if chk.holds else cold._window_replacements(chk.counterexample, start))
+        with pytest.MonkeyPatch.context() as m:
+            if bound is not None:
+                m.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
+            for t, start in queries:
+                chk, moved = h._agreement_check(t, start)
+                cold = pickle.loads(pickle.dumps(h))
+                assert not cold._kept
+                assert chk == cold.check_window_extension(t, start)
+                assert moved == (None if chk.holds else cold._window_replacements(chk.counterexample, start))
 
-    def test_kept_counterexample_answers_every_cap(self, monkeypatch):
+    def test_kept_window_counterexample_answers_smaller_caps(self, monkeypatch):
         h = random_hypergraph(3, 8, 0.5, Random(1))
         ce = ((2, 3), (4, 5))
         assert h._agreement_check(4, 4)[0] == hypergraph.ExtensionCheck(False, True, ce, 1)
         monkeypatch.setattr(Hypergraph, "_cover_search", None)  # any search would raise
-        for t in (2, 3, 9):
+        for t in (2, 3, 4):
             assert h._agreement_check(t, 4) == (hypergraph.ExtensionCheck(False, True, ce, 1), h._window_replacements(ce, 4))
         assert h._agreement_check(1, 4) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
 
-    def test_plain_proof_answers_window_checks(self, monkeypatch):
-        # no two tuples lack a witness, proven by a search past the reach bound
-        h = random_hypergraph(3, 6, 0.6, Random(1))
-        assert not h._reach_proves(2)
-        assert h._agreement_check(2, -1) == (hypergraph.ExtensionCheck(True, True, None, 2), None)
-        assert h._kept == {0: (2, None, None)}
+    def test_plain_counterexample_answers_every_cap(self, monkeypatch):
+        # the plain search's first smallest cover does not depend on the cap
+        h = random_hypergraph(3, 8, 0.5, Random(1))
+        chk = h._agreement_check(5, 0)[0]
+        assert not chk.holds and chk.exhaustive and len(chk.counterexample) < 5
         monkeypatch.setattr(Hypergraph, "_cover_search", None)
-        for start in range(0, 7):
-            for t in (1, 2):
-                assert h._agreement_check(t, start) == (hypergraph.ExtensionCheck(True, True, None, t), None)
+        for t in range(len(chk.counterexample), 12):
+            assert h._agreement_check(t, -1) == (chk, h._window_replacements(chk.counterexample, 0))
+        assert h._agreement_check(1, 0) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
 
     def test_stopped_checks_not_kept(self, monkeypatch):
         # the window check of test_one_node_bound_for_every_vertex
@@ -557,8 +567,9 @@ class TestKeptAgreementChecks:
         assert h._agreement_check(2, 4) == (hypergraph.ExtensionCheck(True, False, None, 1), None)
         assert not h._kept
         monkeypatch.undo()
-        assert h._agreement_check(2, 4) == (hypergraph.ExtensionCheck(True, True, None, 2), None)
-        assert h._kept == {4: (2, None, None)}
+        proof = hypergraph.ExtensionCheck(True, True, None, 2)
+        assert h._agreement_check(2, 4) == (proof, None)
+        assert h._kept == {4: (2, proof, None)}
 
 
 class TestConstruction:

@@ -201,6 +201,8 @@ def load_model(text: str) -> FiniteModel:
     ln = _Lines(text, "model", MODEL_HEADER)
     arity = ln.int("arity", "model arity")
     level = ln.int("level", "model level")
+    if level < 0:
+        raise InputError(f"model level must be >= 0, got {level}")
     count = ln.int("elements", "model element count")
     leaves = []
     for i, vals in enumerate(ln.items(count, "el", "model element")):

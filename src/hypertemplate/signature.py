@@ -10,8 +10,11 @@ which is what makes the consistency-preservation test meaningful.
 The layout has a closed form.  Predicates are ordered by length, then
 lexicographically, so the predicate of stem prefix p sits at index
 1 + (number of shorter predicates) + (mixed-radix rank of p over the level
-sizes).  A type's stems extend at most (k-1) * depth predicates, so every
-other value is 0 and a signature costs O(k * depth) to fill in;
+sizes).  Each template keeps those counts by depth (Template._counts_to),
+and every index formula here reads them: predicate_count looks one up,
+coverage_level bisects them, the rest follow.  A type's stems extend at
+most (k-1) * depth predicates, so every other value is 0 and a signature
+costs O(k * depth) to fill in;
 ``oracle.naive_f_signature`` keeps the enumeration as a cross-check.  The
 same layout gives the first index at which two types' signatures differ
 (first_difference) from their stems' prefixes, with no signature built.
@@ -25,11 +28,11 @@ search this replaced.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, count, product
-from math import inf, prod
-from operator import mul
+from itertools import count, product
+from math import inf
 from typing import Optional, Sequence, Union
 
 from .errors import InputError
@@ -85,26 +88,23 @@ def predicate_enumeration(t: Template, depth: int) -> list[Stem]:
     lexicographically: the canonical predicate order."""
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
-    out: list[Stem] = []
-    for n in range(1, depth + 1):
-        out.extend(
-            tuple(s) for s in product(*(range(t.level_size(l)) for l in range(n)))
-        )
-    return out
+    return [s for n in range(1, depth + 1) for s in product(*(range(t.level_size(l)) for l in range(n)))]
 
 
 def predicate_count(t: Template, depth: int) -> int:
     """Number of enumerated predicates of length <= depth."""
-    return sum(accumulate((t.level_size(l) for l in range(depth)), mul))
+    return t._counts_to(depth)[depth] if depth > 0 else 0
 
 
 def coverage_level(t: Template, n: int) -> int:
     """Largest tree level L such that all predicates of length <= L have
     signature index < n (index 0 is the equality code)."""
-    L = 0
-    while predicate_count(t, L + 1) <= n - 1:
-        L += 1
-    return L
+    return bisect_right(t._counts_to(0, n), n - 1, 1) - 1
+
+
+def _window_start(t: Template, n: int, lc: int) -> int:
+    """oplus_test's start at the coverage level lc of n, for stems at the largest vertices."""
+    return n - 1 - predicate_count(t, lc + 1) + t.level_size(lc)
 
 
 # -- signatures ------------------------------------------------------------
@@ -167,16 +167,14 @@ def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
     shorter than p) + (mixed-radix rank of p), so only the (k-1) * depth
     prefixes of the stems are written; every other value is 0."""
     code, stems = check_signature_input(t, ptype, depth)
-    sizes = [t.level_size(l) for l in range(depth)]
-    # the index of each length's first predicate, then one past the last
-    offsets = list(accumulate(accumulate(sizes, mul), initial=1))
-    values = [0] * offsets.pop()
+    counts, sizes = t._counts_to(depth), [t.level_size(l) for l in range(depth)]
+    values = [0] * (1 + counts[depth])
     values[0] = code
     for j, s in enumerate(stems):
         rank = 0
-        for l, offset in enumerate(offsets):
-            rank = rank * sizes[l] + s[l]
-            values[offset + rank] |= 1 << j
+        for l, size in enumerate(sizes):
+            rank = rank * size + s[l]
+            values[1 + counts[l] + rank] |= 1 << j
     return SignatureFunction(tuple(values), depth)
 
 
@@ -192,19 +190,17 @@ def first_difference(t: Template, a: ParamType, b: ParamType, depth: int) -> int
     of stems differs, the two types hold the same values; there, pairs
     that agree sit at the same ranks in both, so the values differ exactly
     at the ranks of the pairs that differ, and the least, capped, is the
-    answer."""
+    answer.  A level whose values start at depth or later can only give
+    depth, so only the levels that start below it are read."""
     if a.equality != b.equality:
         return 0
-    offset, width, ranks = 1, 1, [0] * len(a.stems)
-    for l in range(depth):
-        size = t.level_size(l)
-        ranks = [r * size for r in ranks]  # the common prefixes' ranks, one level down
-        differ = [r + min(x[l], y[l]) for r, x, y in zip(ranks, a.stems, b.stems) if x[l] != y[l]]
+    counts, ranks = t._counts_to(depth), [0] * len(a.stems)
+    for l in range(bisect_left(counts, depth - 1)):  # 1 + counts[l] < depth
+        size = t.level_size(l)  # ranks holds the common prefixes' ranks, from one level up
+        differ = [r * size + min(x[l], y[l]) for r, x, y in zip(ranks, a.stems, b.stems) if x[l] != y[l]]
         if differ:
-            return min(offset + min(differ), depth)
-        ranks = [r + x[l] for r, x in zip(ranks, a.stems)]
-        width *= size
-        offset += width
+            return min(1 + counts[l] + min(differ), depth)
+        ranks = [r * size + x[l] for r, x in zip(ranks, a.stems)]
     return depth
 
 
@@ -283,12 +279,10 @@ def _agreement_scan(t: Template, n: int, cap: Optional[int] = None):
     coverage level once per cap, and G_estimate reuses F_estimate's checks
     where its caps are no larger."""
     lc = coverage_level(t, n)
-    sizes = [t.level_size(l) for l in range(lc + 1)]
-    start = n - 1 - predicate_count(t, lc) - (prod(sizes[:lc]) - 1) * sizes[lc]
     found, proven = None, INFINITE
     for l in range(lc, t.prefix_len):
         h = t._graphs[l]
-        window = start if l == lc else 0
+        window = _window_start(t, n, lc) if l == lc else 0
         chk, moved = h._agreement_check(h.size ** (h.arity - 1) if cap is None else cap, window)
         if not chk.exhaustive:
             proven = min(proven, chk.proven)
@@ -304,7 +298,7 @@ def _certificate(t: Template, s: int, n: int, level: int, tuples_a, tuples_b) ->
     each padded to s types by repeating its last tuple.  Below the failing
     level every tuple repeats one vertex or all tuples coincide, so only
     the failing level decides either family."""
-    top = tuple(t.level_size(l) - 1 for l in range(level))
+    top = tuple(size - 1 for size in t._sizes[:level])
 
     def family(tuples) -> Family:
         tuples = tuples + tuples[-1:] * (s - len(tuples))
@@ -369,11 +363,8 @@ def analytic_g_lower(t: Template, n: int) -> Union[int, float]:
     complete template, as in analytic_g_table: every count survives there."""
     if t.is_complete():
         return INFINITE
-    L = coverage_level(t, n)
-    lo = t.f_value(t.prefix_len)  # tail arities are nondecreasing
-    for l in range(L, t.prefix_len):
-        lo = min(lo, t.f_value(l))
-    return lo
+    p = t.prefix_len  # tail arities are nondecreasing
+    return min(map(t.f_value, range(min(coverage_level(t, n), p), p + 1)))
 
 
 def G_estimate(t: Template, n: int, budget=None, s_cap=None) -> GEstimate:
@@ -395,19 +386,12 @@ def G_estimate(t: Template, n: int, budget=None, s_cap=None) -> GEstimate:
 def analytic_g_table(t: Template, n_max: int) -> list[Union[int, float]]:
     """Analytic capacity table G(0..n_max), all-infinite for complete
     templates.  Sound: these counts are guaranteed, never optimistic."""
-    if t.is_complete():
-        return [INFINITE] * (n_max + 1)
-    # analytic_g_lower in one pass: the coverage level L of n rises by one
-    # each time n - 1 reaches count = predicate_count(t, L + 1), and the
-    # answer is the least f from level L on (from the prefix on, past it)
-    p = t.prefix_len
-    lows = list(accumulate((t.f_value(l) for l in range(p, -1, -1)), min))[::-1]
-    out, L, width = [], 0, t.level_size(0)
-    count = width
-    for n in range(n_max + 1):
-        while count < n:
-            L += 1
-            width *= t.level_size(L)
-            count += width
-        out.append(lows[min(L, p)])
-    return out
+    if n_max < 0:
+        raise InputError(f"need n_max >= 0, got {n_max}")
+    out: list[Union[int, float]] = []
+    # analytic_g_lower once per coverage level L, which holds the n with
+    # predicate_count(t, L) < n <= predicate_count(t, L + 1) (and n = 0)
+    for count in t._counts_to(1, n_max)[1:]:
+        out += [analytic_g_lower(t, count)] * (min(count, n_max) + 1 - len(out))
+        if count >= n_max:
+            return out

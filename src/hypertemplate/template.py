@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
+from math import comb
 from random import Random
 from typing import Sequence
 
@@ -47,10 +48,12 @@ class Template:
 
     Construction checks only representation invariants (shared arity,
     1 <= f(n) <= H_n); the extension property is verified by validate().
-    Stored sizes and hypergraphs are also kept as tuples for unchecked lookups.
+    Stored sizes and hypergraphs are also kept as tuples for unchecked lookups;
+    the predicate counts by depth that lay out signature indices (_counts_to)
+    and completeness are kept on demand, ignored by equality, hash and pickle.
     """
 
-    __slots__ = ("arity", "levels", "tail", "_sizes", "_graphs", "_stab_cache")
+    __slots__ = ("arity", "levels", "tail", "_sizes", "_graphs", "_stab_cache", "_counts", "_complete")
 
     def __init__(
         self,
@@ -73,6 +76,8 @@ class Template:
         object.__setattr__(self, "_sizes", tuple(h.size for h, _f in lv))
         object.__setattr__(self, "_graphs", tuple(h for h, _f in lv))
         object.__setattr__(self, "_stab_cache", {})
+        object.__setattr__(self, "_counts", [0])
+        object.__setattr__(self, "_complete", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Template is immutable")
@@ -157,12 +162,19 @@ class Template:
 
     def is_complete(self) -> bool:
         """True iff every level, stored or tail, is a complete hypergraph."""
-        from math import comb
+        if self._complete is None:
+            full = all(len(h.uniform_edges) == comb(h.size, self.arity) for h in self._graphs)
+            object.__setattr__(self, "_complete", full)
+        return self._complete
 
-        for h, _f in self.levels:
-            if len(h.uniform_edges) != comb(h.size, self.arity):
-                return False
-        return True
+    def _counts_to(self, depth: int, index: int = 0) -> list[int]:
+        """The kept predicate counts, entry d the number of stems of length
+        1..d, grown until there is an entry for depth and the last reaches index."""
+        counts = self._counts
+        while len(counts) <= depth or counts[-1] < index:
+            d = len(counts) - 1  # the stems of length d number counts[d] - counts[d - 1]
+            counts.append(counts[d] + (counts[d] - counts[d - 1] if d else 1) * self.level_size(d))
+        return counts
 
 
 @dataclass(frozen=True)

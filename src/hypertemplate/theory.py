@@ -217,6 +217,8 @@ def close_existentially(
     level below m, as decide_qf_formula decides.  Enumeration order is
     canonical (parameter index tuples, then demanded edge sets, then
     witness leaves), so closure is deterministic."""
+    if m < 0:
+        raise InputError(f"level must be >= 0, got {m}")
     if param_bound < 1:
         raise InputError("param_bound must be >= 1")
     if budget < 0:

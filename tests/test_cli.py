@@ -328,6 +328,21 @@ class TestCloseModelInput:
         assert not out.exists()
 
 
+# an empty model at level -1, which no level of a template has
+NEGATIVE_LEVEL_MODEL = "hgt-model 1\narity 3\nlevel -1\nelements 0\nedges 0\n"
+
+
+class TestNegativeModelLevel:
+    @pytest.mark.parametrize("verb", [["check-model"], ["close-model", "--level", "-1"]])
+    def test_exit_2_without_writing(self, verb, tmp_path, capsys):
+        tp, mp, out = tmp_path / "t.tpl", tmp_path / "m.mdl", tmp_path / "out.txt"
+        tp.write_text(TEMPLATE_TEXT)
+        mp.write_text(NEGATIVE_LEVEL_MODEL)
+        assert run([verb[0], str(tp), str(mp), *verb[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "input error: model level must be >= 0, got -1\n")
+        assert not out.exists()
+
+
 # (flag, value): the sampled search's options, gone with it
 REMOVED_SEARCH_FLAGS = [
     ("--stem-depth", "0"),

@@ -159,10 +159,15 @@ class TestBlockErrors:
         with pytest.raises(InputError, match=f"^{item_what}: expected integers"):
             load("\n".join(lines))
 
-    def test_element_line_without_integers_at_level_minus_one(self):
+    def test_element_line_without_integers_at_level_zero(self):
         # an el line must hold its index even where the level asks for no stem
-        text = "hgt-model 1\narity 2\nlevel -1\nelements 1\nel\nedges 0\n"
+        text = "hgt-model 1\narity 2\nlevel 0\nelements 1\nel\nedges 0\n"
         with pytest.raises(InputError, match="^model element: malformed line 0$"):
+            ser.load_model(text)
+
+    def test_negative_level_rejected_before_the_elements(self):
+        text = "hgt-model 1\narity 2\nlevel -1\nelements 1\nel\nedges 0\n"
+        with pytest.raises(InputError, match="^model level must be >= 0, got -1$"):
             ser.load_model(text)
 
 
@@ -272,10 +277,12 @@ class TestScenarioFormat:
 # patterns included), their dumps, and single-line mutations of those
 # dumps.  The two digests were recorded before the hgt-qfspec format was
 # deleted, with only its entry left out; they fix every dump byte, every
-# loaded object and every rejection message.
+# loaded object and every rejection message.  The mutation digest was
+# re-recorded when load_model began to reject a negative level: four
+# mutations that set a model's level to -1 now raise that error first.
 
 DUMP_DIGEST = "1f8c7a004d7e905f271ddd1a270e064400be236e3f960e5493cf917d5e43c078"
-MUTATION_DIGEST = "4c55bb99f250f4e24d82882d7f5af6471e5e616cf9c0df56e735e372b0dd8c16"
+MUTATION_DIGEST = "ecba16b9f40380257bbb6670cd29ee5c6595c0659ccccdb5c3dd24ec27bbfadf"
 
 
 def _rgs(rng, n):

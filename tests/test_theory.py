@@ -267,6 +267,13 @@ class TestCloseExistentially:
         as_tuples = close_existentially(t, 1, FiniteModel(2, 1, [(0,), (1,)], edges), 1, 50)
         assert as_lists == as_tuples
 
+    def test_negative_level_rejected_as_build_random_model_does(self):
+        t = size2_template(prefix=1)
+        for call in (lambda: close_existentially(t, -1, FiniteModel(2, -1, [], set()), 1, 5),
+                     lambda: build_random_model(t, -1, 1, 0.5, seed=0)):
+            with pytest.raises(InputError, match="^level must be >= 0, got -1$"):
+                call()
+
     def test_budget_cut_reported(self):
         t = size2_template(prefix=1)
         m = FiniteModel(2, 1, [(0,), (1,)], set())

@@ -13,18 +13,18 @@ check, which alone answers many checks, and the search's set-up (_setup),
 from the first check the bound does not answer, so repeated checks pay
 only for the search.  These checks live in _Level, which random_template
 also runs on a drawn level before only the accepted draw becomes a
-Hypergraph.  The same search, run once per vertex over the tuples whose
-window replacements can reach it, below the smallest cover so far, decides
-the window variant the agreement test rests on; a Hypergraph keeps that
-test's last exhaustive result per window start, with its cap, which
-answers every later check whose fresh call would return the same.
+Hypergraph.  The same search, run once over one set-up per vertex (the
+tuples whose window replacements can reach it), decides the window variant
+the agreement test rests on.  A Hypergraph keeps that test's last
+exhaustive result per window start, with its cap, which answers every
+later check at a cap no larger and, when it is a counterexample, at any cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, combinations, compress, filterfalse, product
+from itertools import accumulate, chain, combinations, compress, filterfalse, product
 from math import comb
 from operator import and_, not_
 from random import Random
@@ -50,8 +50,8 @@ class ExtensionCheck:
     witness (among lists within the check's span of vertices, if it has
     one), so every such choice of fewer tuples has one.  ``exhaustive`` is
     False when the node bound stopped a search: ``holds`` then means "none
-    found", not a proof, and a window check's counterexample may not be
-    smallest.  ``proven`` is the largest count up to t proven to hold.
+    found", not a proof, and there is no counterexample.  ``proven`` is the
+    largest count up to t proven to hold.
     """
 
     holds: bool
@@ -99,7 +99,7 @@ class _Level:
         answer, the search on the mode's kept set-up."""
         if self._reach_proves(t, span):
             return ExtensionCheck(True, True, proven=t)
-        return self._cover_search(t, self._cover.get(span is None) or self._build_cover(span), span, [0])
+        return self._cover_search(t, [self._cover.get(span is None) or self._build_cover(span)], span)
 
     def _reach_proves(self, t: int, span: Optional[int] = None) -> bool:
         """True when no t complements of witness masks cover the vertex set,
@@ -140,21 +140,23 @@ class _Level:
         del self._rows[mode]
         return setup
 
-    def _cover_search(self, t: int, setup: tuple, span: Optional[int], nodes: list[int]) -> ExtensionCheck:
-        """Search the set-up (reach, sets, tuples, supports, by_vertex) for a
-        smallest cover of the vertex set by at most t sets: branch on the
-        least uncovered vertex, leave out sets an earlier sibling's subtree
-        tried, and raise the cover size one step at a time.  nodes[0] counts
-        the sets examined, offered or filtered out, across every search that
-        shares the list; past COVER_SEARCH_NODES the search stops with
-        exhaustive=False."""
-        reach, sets, tuples, supports, by_vertex = setup
-        if not all(by_vertex):  # a vertex no set holds: every choice has a witness
-            return ExtensionCheck(True, True, proven=t)
+    def _cover_search(self, t: int, setups: Iterable[tuple], span: Optional[int]) -> ExtensionCheck:
+        """Search the set-ups, each (reach, sets, tuples, supports,
+        by_vertex), for a smallest cover of the vertex set by at most t sets
+        of one set-up, one size at a time: size 2 in every set-up, then 3,
+        and so on (no one set covers: each misses its tuple's vertices).
+        Within a set-up it branches on the least uncovered vertex and leaves
+        out sets an earlier sibling's subtree tried.  A set-up is taken from
+        setups when the size-2 pass reaches it.  The sets examined, offered
+        or filtered out, count against one node bound, past which
+        (COVER_SEARCH_NODES) the search stops with exhaustive=False.  A
+        smaller cap runs a prefix of the same search, so an exhaustive
+        result at cap T gives the one at every cap t <= T, and a cover of c
+        sets the one at every cap from c up."""
         full = (1 << self.size) - 1
         width = self.arity - 1
         chosen: list[int] = []
-        used = nodes[0]
+        used = 0
 
         def cover(uncovered: int, spare: int, banned: int, support: int) -> bool:
             # a set holding the least uncovered vertex, then <= spare more
@@ -177,17 +179,23 @@ class _Level:
                 banned |= 1 << i
             return False
 
-        proven = 0
+        proven, live, pending = 1, [], iter(setups)
         try:
-            for limit in range(1, min(t, len(sets)) + 1):
-                if reach[limit] >= self.size and cover(full, limit - 1, 0, 0):
-                    ce = tuple(sorted(tuples[i] for i in chosen))
-                    return ExtensionCheck(False, True, ce, proven)
+            for limit in range(2, t + 1):
+                earlier, live = live, []
+                for setup in chain(earlier, pending):
+                    reach, sets, tuples, supports, by_vertex = setup
+                    if limit > len(sets) or not all(by_vertex):  # it covers at no size from here on
+                        continue
+                    live.append(setup)
+                    if reach[limit] >= self.size and cover(full, limit - 1, 0, 0):
+                        return ExtensionCheck(False, True, tuple(sorted(tuples[i] for i in chosen)), proven)
+                if not live:
+                    break
                 proven = limit
         except _NodeBoundReached:
             return ExtensionCheck(True, False, proven=proven)
         finally:
-            nodes[0] = used
             del cover  # the closure holds itself: free its lists now, not at the next GC
         return ExtensionCheck(True, True, proven=t)
 
@@ -356,24 +364,10 @@ class Hypergraph(_Level):
         common witness whose window masks share a vertex;
         _window_replacements gives the replacements.  With start <= 0 every
         choice qualifies, so this is check_extension_property; with start
-        >= size no choice does.  Otherwise, for each vertex w, the cover
-        search runs over the tuples whose window mask holds w (once per
-        distinct set of such masks), all under one node bound, for at most
-        one tuple fewer than the smallest cover so far; a single tuple
-        always has a witness among its own vertices.
-
-        Each call searches afresh, but an exhaustive answer at a cap T
-        gives the answer at every cap t <= T: a counterexample of c tuples
-        when c <= t, else "holds" with proven = t.  The cover search tries
-        sizes from 1 up, so its first cover at the smallest size, and the
-        nodes it spends on the way, do not depend on the cap, and a smaller
-        cap runs a prefix of the same search, within the node bound.  Here
-        each vertex's search is capped at min(t, its cap under T), so the
-        same first vertex reaches the global minimum.  With start <= 0 a
-        counterexample also gives the answer at every cap above T; with a
-        window it does not, as a larger cap searches the vertices before
-        the counterexample's deeper, all under one node bound.
-        _agreement_check keeps results by these rules."""
+        >= size no choice does.  Otherwise one cover search (_cover_search)
+        runs over one set-up per vertex w, the tuples whose window mask
+        holds w (one per distinct set of such masks), so its first cover is
+        smallest over every vertex."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         if start <= 0:
@@ -381,56 +375,39 @@ class Hypergraph(_Level):
         if start >= self.size or self._reach_proves(t):
             return ExtensionCheck(True, True, proven=t)
         full = (1 << self.size) - 1
-        rows = [
-            (self._mask(tup), self._window_mask(tup, start), tup)
-            for tup in combinations(range(self.size), self.arity - 1)
-        ]
-        nodes = [0]  # shared by every vertex's search
-        searched: set[frozenset[int]] = set()
-        best, exhaustive, proven = None, True, t  # proven is also the cap
-        for w in range(self.size):
-            seen: dict[int, tuple[int, ...]] = {}
-            for m, window, tup in rows:
-                if window >> w & 1 and m != full:
-                    seen.setdefault(m, tup)
-            key = frozenset(seen)
-            if key in searched:
-                continue
-            searched.add(key)
-            # past a stop every search stops at once, proving what reach proves
-            held = list(seen.items())
-            reach = _reach(self.size, held)
-            chk = self._cover_search(proven, (reach, *_setup(self.size, held, None)), None, nodes)
-            exhaustive = exhaustive and chk.exhaustive
-            best = chk.counterexample or best
-            proven = chk.proven
-            if proven < 2:
-                break
-        return ExtensionCheck(best is None, exhaustive, best, proven)
+        tuples = combinations(range(self.size), self.arity - 1)
+        rows = [(self._mask(tup), self._window_mask(tup, start), tup) for tup in tuples]
+
+        def setups() -> Iterable[tuple]:
+            searched: set[frozenset[int]] = set()
+            for w in range(self.size):
+                seen: dict[int, tuple[int, ...]] = {}
+                for m, window, tup in rows:
+                    if window >> w & 1 and m != full:
+                        seen.setdefault(m, tup)
+                if (key := frozenset(seen)) not in searched:
+                    searched.add(key)
+                    held = list(seen.items())
+                    yield (_reach(self.size, held), *_setup(self.size, held, None))
+
+        return self._cover_search(t, setups(), None)
 
     def _agreement_check(self, t: int, start: int) -> tuple[ExtensionCheck, Optional[tuple[tuple[int, ...], ...]]]:
         """check_window_extension(t, start) for t >= 1, as the agreement
         test runs it, with its counterexample's window replacements (None
-        when it holds).
-
-        Per window start (0 for the plain check) the level keeps its last
-        exhaustive result with the cap T it was found at, and answers from
-        it, without a search, every check whose fresh call would return the
-        same (see check_window_extension): at any start a cap t <= T, and at
-        start 0 a counterexample also answers every cap above T.  A window
-        counterexample does not: a larger cap searches the vertices before
-        it deeper, under the one node bound, which can stop the check.  A
-        result that is not exhaustive is never kept, so what ran before on
-        the level changes no answer."""
+        when it holds).  Per window start (0 for the plain check) the level
+        keeps its last exhaustive result and its cap T, which answers, as a
+        fresh check would (_cover_search), a check at a cap t <= T and, when
+        it is a counterexample, at any cap.  A stopped result is never kept,
+        so what ran before on the level changes no answer."""
         start = max(start, 0)
         cap, chk, moved = self._kept.get(start, (0, None, None))
-        if chk is not None and (t <= cap or start == 0 and not chk.holds):
+        if chk is not None and (t <= cap or not chk.holds):
             if chk.holds or len(chk.counterexample) > t:
                 return ExtensionCheck(True, True, proven=t), None
             return chk, moved
         chk = self.check_window_extension(t, start)
-        ce = chk.counterexample
-        moved = None if ce is None else self._window_replacements(ce, start)
+        moved = chk.counterexample and self._window_replacements(chk.counterexample, start)
         if chk.exhaustive:
             self._kept[start] = (t, chk, moved)
         return chk, moved

@@ -273,11 +273,10 @@ def _agreement_scan(t: Template, n: int, cap: Optional[int] = None):
     the smallest cover, its window replacements and tuples, or None; and
     the least count a stopped check proved, INFINITE when none stopped.
 
-    The checks go through Hypergraph._agreement_check, so a level answers
-    from its kept result per window start whenever a fresh check would
-    return the same: F_estimate's loop over n searches each level past the
-    coverage level once per cap, and G_estimate reuses F_estimate's checks
-    where its caps are no larger."""
+    The checks go through Hypergraph._agreement_check, so a level searches
+    again at a window start only for a cap above that of its kept proof:
+    F_estimate's loop over n reuses each level's checks across n, and
+    G_estimate's uncapped scan reuses every kept counterexample."""
     lc = coverage_level(t, n)
     found, proven = None, INFINITE
     for l in range(lc, t.prefix_len):

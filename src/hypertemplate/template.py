@@ -113,6 +113,11 @@ class Template:
             return sizes[n]
         return sizes[-1] + self.tail.growth * (n - len(sizes) + 1)
 
+    def _tail_sizes(self, depth: int) -> range:
+        """Sizes of the tail levels below a depth past the stored prefix."""
+        growth = self.tail.growth
+        return range(self._sizes[-1] + growth, self.level_size(depth - 1) + 1, growth)
+
     def f_value(self, n: int) -> int:
         """Declared extension arity at level n; tail levels use f = H_n."""
         if n < 0:

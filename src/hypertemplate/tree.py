@@ -31,8 +31,7 @@ def in_tree(t: Template, stem: Sequence[int]) -> bool:
     sizes = t._sizes
     if stem and min(stem) < 0 or not all(map(lt, stem, sizes)):
         return False
-    p = len(sizes)
-    return len(stem) <= p or all(v < t.level_size(n) for n, v in enumerate(stem[p:], p))
+    return len(stem) <= len(sizes) or all(map(lt, stem[len(sizes):], t._tail_sizes(len(stem))))
 
 
 def require_in_tree(t: Template, stem: Sequence[int], what: str = "stem") -> Stem:

@@ -162,13 +162,14 @@ def test_extension_checks_pinned():
 
 def test_check_leaves_no_reference_cycle():
     # the cover search's recursive closure must not outlive the check, on a
-    # cold level or on one that keeps its set-up
+    # cold level or on one that keeps its set-up, nor the window check's set-ups
     gc.collect()
     gc.disable()
     try:
         for i in range(20):
             h = random_hypergraph(3, 8, 0.8, Random(i))
             assert h.check_extension_property(3) == h.check_extension_property(3)
+            assert h.check_window_extension(3, 4) == h.check_window_extension(3, 4)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -400,6 +401,14 @@ class TestExtensionProperty:
                     assert len({v for tup in chk.counterexample for v in tup}) <= span
                     assert naive_extension_witness(h, chk.counterexample) is None
 
+    def test_span_cap_above_the_number_of_sets(self):
+        # the six 2-sets' complements cover the vertices together, but a
+        # family within 2 vertices holds one 2-set, which has a witness, so
+        # at every cap the search ends where the sets run out
+        h = Hypergraph(3, 4, [(1, 2, 3)])
+        for t in (6, 7, 50):
+            assert h.check_extension_property(t, 2) == hypergraph.ExtensionCheck(True, True, proven=t)
+
     @given(
         st.integers(2, 3),
         st.integers(1, 6),
@@ -491,23 +500,79 @@ class TestWindowExtension:
         assert not naive_window_holds(h, 2, 4) and naive_window_holds(h, 1, 4)
 
     def test_one_node_bound_for_every_vertex(self, monkeypatch):
-        # four vertex searches visit 6, 0, 3 and 4 nodes: a bound of 12 stops
-        # the last one, though no one search reaches it; t = 1 stays proven,
-        # since a tuple's own vertices witness it
+        # one search over four vertex set-ups: at t = 2 their size-2 passes
+        # visit 6, 0, 3 and 4 nodes, 13 in all, so a bound of 13 lets it
+        # finish and one of 12 stops it, though no one set-up reaches 12;
+        # t = 1 stays proven, since a tuple's own vertices witness it
         h = random_hypergraph(3, 6, 0.6, Random(5))
-        counters = []
-        search = Hypergraph._cover_search
+        built = []
+        setup = hypergraph._setup
 
-        def spy(self, t, setup, span, nodes):
-            counters.append(nodes)
-            return search(self, t, setup, span, nodes)
+        def spy(size, rows, span):
+            built.append(rows)
+            return setup(size, rows, span)
 
-        monkeypatch.setattr(Hypergraph, "_cover_search", spy)
+        monkeypatch.setattr(hypergraph, "_setup", spy)
         assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, True, None, 2)
-        assert len(counters) == 4 and all(c is counters[0] for c in counters)
-        assert counters[0] == [13]
+        assert len(built) == 4
+        monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 13)
+        assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, True, None, 2)
         monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 12)
         assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, False, None, 1)
+
+    def test_set_ups_built_only_as_the_search_reaches_them(self, monkeypatch):
+        # at start 5 each vertex's window tuples hold distinct masks; vertex
+        # 3's set-up is the first with two disjoint masks, a size-2 cover,
+        # so the search ends there and builds none of vertices 4-6
+        h = random_hypergraph(3, 7, 0.6, Random(0))
+        full = (1 << h.size) - 1
+        rows = [(h._mask(tup), h._window_mask(tup, 5)) for tup in itertools.combinations(range(h.size), 2)]
+        keys = [frozenset(m for m, window in rows if window >> w & 1 and m != full) for w in range(h.size)]
+        assert len(set(keys)) == h.size
+        disjoint = [any(a & b == 0 for a, b in itertools.combinations(key, 2)) for key in keys]
+        assert disjoint.index(True) == 3
+        built = []
+        setup = hypergraph._setup
+
+        def spy(size, rows, span):
+            built.append(frozenset(m for m, _ in rows))
+            return setup(size, rows, span)
+
+        monkeypatch.setattr(hypergraph, "_setup", spy)
+        chk = h.check_window_extension(3, 5)
+        assert not chk.holds and len(chk.counterexample) == 2
+        assert built == keys[:4]
+
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 7),
+        st.sampled_from([0.3, 0.6, 0.85]),
+        st.integers(0, 2**31),
+        st.integers(1, 6),
+        st.integers(-1, 7),
+        st.sampled_from([None, 5, 10, 20, 40]),
+    )
+    # within 5 nodes the uncapped check finds two tuples in its size-2
+    # pass, before any size-3 search could stop it, so the check at cap 2
+    # finds the same two
+    @example(2, 6, 0.3, 8, 2, 3, 5)
+    @settings(max_examples=200, deadline=None)
+    def test_smaller_caps_read_down(self, arity, size, p, seed, t, start, bound):
+        # a check at cap t answers what the uncapped check's result gives at
+        # t, the node bound included: its counterexample of c tuples when
+        # t >= c, its stop when it stopped and t > proven, else a proof of t
+        h = random_hypergraph(arity, size, p, Random(seed))
+        with pytest.MonkeyPatch.context() as m:
+            if bound is not None:
+                m.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
+            top = pickle.loads(pickle.dumps(h)).check_window_extension(size ** (arity - 1), start)
+            chk = pickle.loads(pickle.dumps(h)).check_window_extension(t, start)
+        if top.counterexample is not None:
+            assert top.exhaustive and top.proven == len(top.counterexample) - 1
+        if top.counterexample is not None and t >= len(top.counterexample) or not top.exhaustive and t > top.proven:
+            assert chk == top
+        else:
+            assert chk == hypergraph.ExtensionCheck(True, True, proven=t)
 
 
 class TestKeptAgreementChecks:
@@ -520,10 +585,11 @@ class TestKeptAgreementChecks:
         st.sampled_from([None, 5, 10, 20, 40]),
     )
     # within 5 nodes the window check at start 3 finds two tuples at cap
-    # 2, but stops at cap 3, where the vertices before them search deeper
+    # 2, and that kept result answers cap 3: a fresh check at cap 3 finds
+    # them too, in its size-2 pass, before a size-3 search could stop it
     @example(2, 6, 0.3, 8, [(2, 3), (3, 3)], 5)
     # within 10 nodes the plain check proves cap 3, but the window check at
-    # start 1 and cap 3 stops
+    # start 1 and cap 3 stops: a result answers only checks at its own start
     @example(2, 5, 0.6, 1, [(3, 0), (3, 1)], 10)
     @settings(max_examples=200, deadline=None)
     def test_interleaved_queries_match_a_cold_copy(self, arity, size, p, seed, queries, bound):
@@ -541,12 +607,12 @@ class TestKeptAgreementChecks:
                 assert chk == cold.check_window_extension(t, start)
                 assert moved == (None if chk.holds else cold._window_replacements(chk.counterexample, start))
 
-    def test_kept_window_counterexample_answers_smaller_caps(self, monkeypatch):
+    def test_kept_window_counterexample_answers_every_cap(self, monkeypatch):
         h = random_hypergraph(3, 8, 0.5, Random(1))
         ce = ((2, 3), (4, 5))
         assert h._agreement_check(4, 4)[0] == hypergraph.ExtensionCheck(False, True, ce, 1)
         monkeypatch.setattr(Hypergraph, "_cover_search", None)  # any search would raise
-        for t in (2, 3, 4):
+        for t in (2, 3, 4, 5, 12, 64):
             assert h._agreement_check(t, 4) == (hypergraph.ExtensionCheck(False, True, ce, 1), h._window_replacements(ce, 4))
         assert h._agreement_check(1, 4) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
 

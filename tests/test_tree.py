@@ -40,6 +40,21 @@ class TestInTree:
         assert in_tree(t, (0, 1, 2))
         assert not in_tree(t, (0, 5))
 
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.lists(st.integers(-1, 12), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tail_sizes_grow_by_the_tail_growth(self, prefix, growth, stem):
+        # past the stored prefix each level is growth larger than the one before
+        t = Template(2, [(Hypergraph(2, n), 1) for n in prefix], TailPolicy("complete_growing", growth))
+        sizes = list(prefix)
+        while len(sizes) < len(stem) + 2:
+            sizes.append(sizes[-1] + growth)
+        assert [t.level_size(n) for n in range(len(sizes))] == sizes
+        assert in_tree(t, stem) == all(0 <= v < n for v, n in zip(stem, sizes))
+
 
 class TestEinftyPrefix:
     def test_named_edges_both_levels(self):

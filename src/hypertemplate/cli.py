@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
-from math import isinf
 from pathlib import Path
 
 from . import serialization as ser
@@ -221,10 +220,9 @@ def cmd_estimate_fg(args) -> int:
     if args.G is not None:
         est = G_estimate(t, args.G)
         exact = exact and est.exact
-        val = "inf" if isinstance(est.value, float) and isinf(est.value) else est.value
         pairs += [
             ("G-n", est.n),
-            ("G-value", val),
+            ("G-value", est.value),
             ("G-exact", str(est.exact).lower()),
             ("G-analytic-lower", est.analytic_lower),
         ]
@@ -260,7 +258,7 @@ def cmd_simulate_saturation(args) -> int:
             ("instances", len(sc.instances)),
             ("indices", len(sc.depths)),
             ("blocked-instance", dist.alpha),
-            ("bounds", " ".join("inf" if isinstance(b, float) else str(b) for b in dist.bounds)),
+            ("bounds", " ".join(map(str, dist.bounds))),
             ("result", "infeasible"),
         ]
         _emit(args, _report("simulate-saturation", args.seed, pairs))

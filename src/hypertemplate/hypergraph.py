@@ -13,22 +13,22 @@ check, which alone answers many checks, and the search's set-up (_setup),
 from the first check the bound does not answer, so repeated checks pay
 only for the search.  These checks live in _Level, which random_template
 also runs on a drawn level before only the accepted draw becomes a
-Hypergraph.  The same search, run once over one set-up per vertex (the
-tuples whose window replacements can reach it), decides the window variant
-the agreement test rests on.  A Hypergraph keeps that test's last
-exhaustive result per window start, with its cap, which answers every
-later check at a cap no larger and, when it is a counterexample, at any cap.
+Hypergraph.  The same search, over one set-up per vertex, with window
+masks in closed form, decides the window variant the agreement test rests
+on.  A Hypergraph keeps that test's last exhaustive result per window
+start, with its cap, which answers every later check at a cap no larger
+and, when it is a counterexample, at any cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, compress, filterfalse, product
+from itertools import accumulate, chain, combinations, compress, filterfalse
 from math import comb
 from operator import and_, not_
 from random import Random
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -110,27 +110,30 @@ class _Level:
         return reach[min(t, len(reach) - 1)] < self.size
 
     def _build_reach(self, span: Optional[int]) -> list[int]:
-        """Keep the mode's rows, every (k-1)-set's mask read off the
-        completion table in one pass, paired with its tuple (without span
-        one per mask) and sorted by _reach, and beside them the reach bound,
-        which this returns."""
+        """Keep the mode's rows, every (k-1)-set's mask (_set_masks) with
+        its tuple (without span one per mask) sorted by _reach, and beside
+        them the reach bound, which this returns."""
         full = (1 << self.size) - 1
         # a tuple with a repeat has the full mask and its permutations the
         # sorted tuple's, so the (k-1)-sets in order give every mask, each
         # first at the tuple that gives it first in product order
-        table, flip = self._table or self._completion()
-        get = table.get
-        sets = combinations([1 << v for v in range(self.size)], self.arity - 1)
-        masks = [(get(bits, 0) ^ flip) | bits for bits in map(sum, sets)]
         rows: list[tuple[int, tuple[int, ...]]] = []
         seen: set[int] = set()
-        for m, tup in zip(masks, combinations(range(self.size), self.arity - 1)):
+        for m, tup in self._set_masks():
             if m != full and (span is not None or m not in seen):
                 seen.add(m)
                 rows.append((m, tup))
         self._rows[span is None] = rows
         reach = self._reach[span is None] = _reach(self.size, rows)
         return reach
+
+    def _set_masks(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Every (k-1)-set in order, with its mask off the completion table."""
+        table, flip = self._table or self._completion()
+        get = table.get
+        sets = combinations([1 << v for v in range(self.size)], self.arity - 1)
+        masks = [(get(bits, 0) ^ flip) | bits for bits in map(sum, sets)]
+        return zip(masks, combinations(range(self.size), self.arity - 1))
 
     def _build_cover(self, span: Optional[int]) -> tuple:
         """Build and keep the mode's cover-search set-up from the rows its
@@ -272,11 +275,12 @@ class Hypergraph(_Level):
         distinct = frozenset(vertices)
         return len(distinct) < self.arity or distinct in self.uniform_edges
 
-    def witness_mask(self, partial: tuple[int, ...]) -> int:
-        """Bitmask of all s with is_edge((s,) + partial).
+    def witness_mask(self, partial: Sequence[int]) -> int:
+        """Bitmask of all s with is_edge((s,) + partial), for any sequence.
 
         Read off the completion table and memoized per tuple; the workhorse
         behind witness search."""
+        partial = tuple(partial)  # the memo's key
         mask = self._mask_cache.get(partial)
         if mask is None:
             self._check(partial, self.arity - 1)
@@ -357,85 +361,85 @@ class Hypergraph(_Level):
         """Check that every choice of t (k-1)-tuples has a common witness
         when window replacements of them share one.  A tuple's window
         replacements keep its vertices below start and move each other one
-        to any vertex from start on (the tuple itself among them), and its
-        window mask is the OR of their witness masks.
+        to any vertex from start on, and its window mask is the OR of their
+        witness masks.  A counterexample is a smallest list of at most t
+        tuples with no common witness whose window masks share a vertex.
 
-        A counterexample is a smallest list of at most t tuples with no
-        common witness whose window masks share a vertex;
-        _window_replacements gives the replacements.  With start <= 0 every
-        choice qualifies, so this is check_extension_property; with start
-        >= size no choice does.  Otherwise one cover search (_cover_search)
-        runs over one set-up per vertex w, the tuples whose window mask
-        holds w (one per distinct set of such masks), so its first cover is
-        smallest over every vertex."""
+        With start <= 0 every choice qualifies, so this is
+        check_extension_property; with start >= size none does.  Otherwise
+        a sorted (k-1)-set's window mask is, by how many of its vertices lie
+        at or past start: none, its own mask; two or more, full (a
+        replacement repeats a vertex); one, its last, the OR of the masks of
+        the sets sharing its other vertices and ending at or past start.
+        One cover search runs over one set-up per distinct set of tuples
+        whose window masks hold a vertex, so its first cover is smallest."""
+        return self._window_check(t, start)[0]
+
+    def _window_check(self, t: int, start: int) -> tuple[ExtensionCheck, Optional[tuple[tuple[int, ...], ...]]]:
+        """check_window_extension, with one window replacement per
+        counterexample tuple (None when it holds): the first in product order
+        whose mask holds w, the least vertex their window masks share.  That
+        is the set itself with no vertex at or past start; with two or more,
+        the set with those moved to start; with one, the set ending at the
+        least vertex from start on whose mask holds w.  With start <= 0 every
+        window is full, so w is 0 and every replacement is all zeros."""
         if t < 1:
             raise InputError(f"t must be >= 1, got {t}")
         if start <= 0:
-            return self.check_extension_property(t)
+            chk = self._check_extension(t, None)
+            return chk, chk.counterexample and ((0,) * (self.arity - 1),) * len(chk.counterexample)
         if start >= self.size or self._reach_proves(t):
-            return ExtensionCheck(True, True, proven=t)
+            return ExtensionCheck(True, True, proven=t), None
         full = (1 << self.size) - 1
-        tuples = combinations(range(self.size), self.arity - 1)
-        rows = [(self._mask(tup), self._window_mask(tup, start), tup) for tup in tuples]
+        sets = list(self._set_masks())
+        heads: dict[tuple[int, ...], int] = {}  # head below start: OR of the masks of its sets ending at or past it
+        for m, tup in sets:
+            if tup[-1] >= start and (len(tup) == 1 or tup[-2] < start):
+                heads[tup[:-1]] = heads.get(tup[:-1], 0) | m
+        rows = [(m, m if tup[-1] < start else heads.get(tup[:-1], full), tup) for m, tup in sets if m != full]
 
         def setups() -> Iterable[tuple]:
             searched: set[frozenset[int]] = set()
             for w in range(self.size):
                 seen: dict[int, tuple[int, ...]] = {}
                 for m, window, tup in rows:
-                    if window >> w & 1 and m != full:
+                    if window >> w & 1:
                         seen.setdefault(m, tup)
                 if (key := frozenset(seen)) not in searched:
                     searched.add(key)
                     held = list(seen.items())
                     yield (_reach(self.size, held), *_setup(self.size, held, None))
 
-        return self._cover_search(t, setups(), None)
+        chk = self._cover_search(t, setups(), None)
+        if chk.holds:
+            return chk, None
+        common = reduce(and_, (window for _, window, tup in rows if tup in chk.counterexample))
+        w = (common & -common).bit_length() - 1
+        return chk, tuple(
+            tuple(min(v, start) for v in tup) if tup[-1] < start or tup[:-1] not in heads
+            else next(r for m, r in sets if r[:-1] == tup[:-1] and r[-1] >= start and m >> w & 1)
+            for tup in chk.counterexample
+        )
 
     def _agreement_check(self, t: int, start: int) -> tuple[ExtensionCheck, Optional[tuple[tuple[int, ...], ...]]]:
-        """check_window_extension(t, start) for t >= 1, as the agreement
-        test runs it, with its counterexample's window replacements (None
-        when it holds).  Per window start (0 for the plain check) the level
-        keeps its last exhaustive result and its cap T, which answers, as a
-        fresh check would (_cover_search), a check at a cap t <= T and, when
-        it is a counterexample, at any cap.  A stopped result is never kept,
-        so what ran before on the level changes no answer."""
+        """_window_check(t, start) for t >= 1, as the agreement test runs
+        it: the check and its counterexample's window replacements.  Per
+        window start (0 for the plain check) the level keeps its last
+        exhaustive result and its cap T, which answers, as a fresh check
+        would (_cover_search), a check at a cap t <= T and, when it is a
+        counterexample, at any cap.  A stopped result is never kept, so what
+        ran before on the level changes no answer."""
         start = max(start, 0)
         cap, chk, moved = self._kept.get(start, (0, None, None))
         if chk is not None and (t <= cap or not chk.holds):
             if chk.holds or len(chk.counterexample) > t:
                 return ExtensionCheck(True, True, proven=t), None
             return chk, moved
-        chk = self.check_window_extension(t, start)
-        moved = chk.counterexample and self._window_replacements(chk.counterexample, start)
+        chk, moved = self._window_check(t, start)
         if chk.exhaustive:
             self._kept[start] = (t, chk, moved)
         return chk, moved
 
-    def _window(self, tup: tuple[int, ...], start: int) -> Iterable[tuple[int, ...]]:
-        """The window replacements of tup, in product order."""
-        lo = max(start, 0)
-        return product(*((v,) if v < start else range(lo, self.size) for v in tup))
-
-    def _window_mask(self, tup: tuple[int, ...], start: int) -> int:
-        """OR of the witness masks of tup's window replacements.  It is
-        tup's own mask when all its vertices lie below start, and full when
-        two do not (one replacement repeats a vertex)."""
-        full = (1 << self.size) - 1
-        mask = 0
-        for r in self._window(tup, start):
-            mask |= self._mask(r)
-            if mask == full:
-                break
-        return mask
-
-    def _window_replacements(self, tuples: Sequence[tuple[int, ...]], start: int) -> tuple[tuple[int, ...], ...]:
-        """One window replacement per tuple, all sharing the least vertex
-        their window masks share: for each, the first in product order whose
-        mask holds it.  The window masks must share a vertex."""
-        common = reduce(and_, (self._window_mask(tup, start) for tup in tuples))
-        w = (common & -common).bit_length() - 1
-        return tuple(next(r for r in self._window(tup, start) if self._mask(r) >> w & 1) for tup in tuples)
 
 def _reach(size: int, rows: list[tuple[int, tuple[int, ...]]]) -> list[int]:
     """Sort (mask, tuple) rows by mask size, in place (ties keep row order),
@@ -471,10 +475,7 @@ def _setup(size: int, rows: list[tuple[int, tuple[int, ...]]], span: Optional[in
             holders[v] |= 1 << i
         comps.append(c)
         tuples.append(tup)
-        if span is not None:
-            supports.append(sum(1 << v for v in tup))
-    if span is None:  # no span to keep: the search only ORs these
-        supports = [0] * len(comps)
+        supports.append(0 if span is None else sum(1 << v for v in tup))
     return comps, tuples, supports, by_vertex
 
 
@@ -506,8 +507,6 @@ def _fit(edges: Collection[frozenset[int]], arity: int, size: int) -> bool:
 
 def complete_hypergraph(arity: int, size: int) -> Hypergraph:
     """The k-full hypergraph in which every tuple is an edge."""
-    if size < arity:
-        return Hypergraph(arity, size)
     return Hypergraph(arity, size, combinations(range(size), arity))
 
 

@@ -1,6 +1,8 @@
+import functools
 import gc
 import hashlib
 import itertools
+import operator
 import pickle
 import time
 from random import Random
@@ -68,6 +70,17 @@ class TestWitnessMask:
     def test_repeat_in_partial_gives_full_mask(self):
         h = Hypergraph(3, 4)
         assert h.witness_mask((2, 2)) == 0b1111
+
+    def test_any_sequence_as_is_edge_takes(self):
+        # a list, memoized under its tuple, gives the tuple's mask, and a
+        # list of the wrong length is an input error, not a TypeError
+        h = Hypergraph(3, 4, [(0, 1, 2)])
+        assert h.witness_mask([0, 1]) == h.witness_mask((0, 1)) == 0b0111
+        assert h.witness_mask((1, 2)) == h.witness_mask([1, 2]) == 0b0111
+        with pytest.raises(InputError):
+            h.witness_mask([0])
+        with pytest.raises(InputError):
+            h.witness_mask([0, 4])
 
     # count, when given, takes that many k-sets in a seeded order in place of
     # p: the completion table records the non-edges once more than half the
@@ -446,23 +459,72 @@ class TestExtensionProperty:
             Hypergraph(3, 4).check_extension_property(0)
 
 
+def window_walk(h, tup, start):
+    """tup's window replacements in product order: a vertex below start
+    stays, any other runs over the vertices from max(start, 0) on."""
+    lo = max(start, 0)
+    return itertools.product(*((v,) if v < start else range(lo, h.size) for v in tup))
+
+
 def naive_window_holds(h, t, start):
     """Walk every choice of t (k-1)-tuples (with repetition) and look for
     one with no common witness where some vertex forms an edge with a window
     replacement of each tuple, testing edges with is_edge alone."""
-    lo = max(start, 0)
-
-    def window(tup):
-        return itertools.product(*((v,) if v < start else range(lo, h.size) for v in tup))
-
     tuples = list(itertools.product(range(h.size), repeat=h.arity - 1))
     for choice in itertools.combinations_with_replacement(tuples, t):
         if naive_extension_witness(h, choice) is None and any(
-            all(any(h.is_edge((s,) + r) for r in window(tup)) for tup in choice)
+            all(any(h.is_edge((s,) + r) for r in window_walk(h, tup, start)) for tup in choice)
             for s in range(h.size)
         ):
             return False
     return True
+
+
+def walked_window_mask(h, tup, start):
+    """tup's window mask: the OR of the walked replacements' witness masks."""
+    return functools.reduce(operator.or_, (h.witness_mask(r) for r in window_walk(h, tup, start)))
+
+
+def walked_replacements(h, tuples, start):
+    """Per tuple, the first walked replacement whose witness mask holds the
+    least vertex the tuples' walked window masks share."""
+    common = functools.reduce(operator.and_, (walked_window_mask(h, tup, start) for tup in tuples))
+    w = (common & -common).bit_length() - 1
+    return tuple(next(r for r in window_walk(h, tup, start) if h.witness_mask(r) >> w & 1) for tup in tuples)
+
+
+def walked_setup_rows(h, start):
+    """Per vertex w, the (mask, tuple) rows the window check offers its
+    search, from walked window masks: each (k-1)-set whose window mask holds
+    w and whose own mask is not full, the first set per mask."""
+    full = (1 << h.size) - 1
+    sets = [
+        (h.witness_mask(tup), walked_window_mask(h, tup, start), tup)
+        for tup in itertools.combinations(range(h.size), h.arity - 1)
+    ]
+    per_vertex = []
+    for w in range(h.size):
+        seen = {}
+        for m, window, tup in sets:
+            if window >> w & 1 and m != full:
+                seen.setdefault(m, tup)
+        per_vertex.append(list(seen.items()))
+    return per_vertex
+
+
+def walked_window_check(h, t, start):
+    """check_window_extension with its window masks from the walk: the
+    cover search over one set-up per distinct set of walked rows."""
+    if start <= 0:
+        return h.check_extension_property(t)
+    if start >= h.size or h._reach_proves(t):
+        return hypergraph.ExtensionCheck(True, True, proven=t)
+    setups, searched = [], set()
+    for rows in walked_setup_rows(h, start):
+        if (key := frozenset(m for m, _ in rows)) not in searched:
+            searched.add(key)
+            setups.append((hypergraph._reach(h.size, rows), *hypergraph._setup(h.size, rows, None)))
+    return h._cover_search(t, setups, None)
 
 
 class TestWindowExtension:
@@ -486,10 +548,65 @@ class TestWindowExtension:
             assert len(ce) <= t and naive_extension_witness(h, ce) is None
             # smallest over every vertex: each choice of fewer tuples passes
             assert len(ce) == 1 or naive_window_holds(h, len(ce) - 1, start)
-            moved = h._window_replacements(ce, start)
+            moved = h._agreement_check(t, start)[1]
+            assert moved == walked_replacements(h, ce, start)
             assert naive_extension_witness(h, moved) is not None
             for tup, r in zip(ce, moved, strict=True):
                 assert all(u == v if v < start else u >= start for v, u in zip(tup, r, strict=True))
+
+    @given(
+        st.integers(2, 4),
+        st.integers(1, 8),
+        st.sampled_from([0.15, 0.3, 0.5, 0.8]),
+        st.integers(0, 2**31),
+        st.integers(1, 6),
+        st.sampled_from([None, 40]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_closed_forms_match_the_walk(self, arity, size, p, seed, t, bound):
+        # at every start, the check, node count included, is the one its
+        # search gives on walked window masks, and its replacements are the
+        # walked ones
+        h = random_hypergraph(arity, size, p, Random(seed))
+        with pytest.MonkeyPatch.context() as m:
+            if bound is not None:
+                m.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
+            for start in range(-1, size + 2):
+                chk, moved = pickle.loads(pickle.dumps(h))._agreement_check(t, start)
+                assert chk == walked_window_check(pickle.loads(pickle.dumps(h)), t, start)
+                assert chk == pickle.loads(pickle.dumps(h)).check_window_extension(t, start)
+                assert moved == (None if chk.holds else walked_replacements(h, chk.counterexample, start))
+
+    @pytest.mark.parametrize(
+        "arity, size, seed, t, start, ce, moved",
+        [
+            # k = 2, no fixed part: (1,) may move to any vertex from 1 on,
+            # and 2 is the least whose mask holds the shared vertex
+            (2, 3, 7, 2, 1, ((0,), (1,)), ((0,), (2,))),
+            # (0, 3) keeps 0 and moves 3; both of (1, 2) lie past start, so
+            # its first replacement moves both to start, a repeat
+            (3, 4, 5, 2, 1, ((0, 3), (1, 2)), ((0, 1), (1, 1))),
+            # only the last vertex past start: (1, 2) ends at 3, not at start
+            (3, 4, 7, 3, 2, ((0, 1), (0, 2), (1, 2)), ((0, 1), (0, 2), (1, 3))),
+            # start <= 0: every window is full, so every replacement is all zeros
+            (3, 3, 0, 3, 0, ((0, 1), (0, 2), (1, 2)), ((0, 0), (0, 0), (0, 0))),
+            (2, 2, 0, 2, -1, ((0,), (1,)), ((0,), (0,))),
+        ],
+    )
+    def test_closed_form_cases_pinned(self, arity, size, seed, t, start, ce, moved):
+        h = random_hypergraph(arity, size, 0.3, Random(seed))
+        assert walked_replacements(h, ce, start) == moved
+        assert walked_window_check(h, t, start) == hypergraph.ExtensionCheck(False, True, ce, len(ce) - 1)
+        assert h._agreement_check(t, start) == (hypergraph.ExtensionCheck(False, True, ce, len(ce) - 1), moved)
+
+    def test_start_at_the_last_vertex_holds(self):
+        # at start = size - 1 a set's one window replacement is itself, so
+        # tuples with no common witness never have window masks sharing one
+        for seed in range(10):
+            h = random_hypergraph(3, 6, 0.3, Random(seed))
+            for tup in itertools.combinations(range(6), 2):
+                assert walked_window_mask(h, tup, 5) == h.witness_mask(tup)
+            assert h._agreement_check(36, 5) == (hypergraph.ExtensionCheck(True, True, None, 36), None)
 
     def test_smallest_cover_over_every_vertex(self):
         # the first vertex with a cover gives three tuples, (2,4) (3,5) (4,5),
@@ -525,9 +642,7 @@ class TestWindowExtension:
         # 3's set-up is the first with two disjoint masks, a size-2 cover,
         # so the search ends there and builds none of vertices 4-6
         h = random_hypergraph(3, 7, 0.6, Random(0))
-        full = (1 << h.size) - 1
-        rows = [(h._mask(tup), h._window_mask(tup, 5)) for tup in itertools.combinations(range(h.size), 2)]
-        keys = [frozenset(m for m, window in rows if window >> w & 1 and m != full) for w in range(h.size)]
+        keys = [frozenset(m for m, _ in rows) for rows in walked_setup_rows(h, 5)]
         assert len(set(keys)) == h.size
         disjoint = [any(a & b == 0 for a, b in itertools.combinations(key, 2)) for key in keys]
         assert disjoint.index(True) == 3
@@ -605,25 +720,27 @@ class TestKeptAgreementChecks:
                 cold = pickle.loads(pickle.dumps(h))
                 assert not cold._kept
                 assert chk == cold.check_window_extension(t, start)
-                assert moved == (None if chk.holds else cold._window_replacements(chk.counterexample, start))
+                assert moved == (None if chk.holds else walked_replacements(cold, chk.counterexample, start))
 
     def test_kept_window_counterexample_answers_every_cap(self, monkeypatch):
         h = random_hypergraph(3, 8, 0.5, Random(1))
         ce = ((2, 3), (4, 5))
-        assert h._agreement_check(4, 4)[0] == hypergraph.ExtensionCheck(False, True, ce, 1)
+        moved = walked_replacements(h, ce, 4)
+        assert h._agreement_check(4, 4) == (hypergraph.ExtensionCheck(False, True, ce, 1), moved)
         monkeypatch.setattr(Hypergraph, "_cover_search", None)  # any search would raise
         for t in (2, 3, 4, 5, 12, 64):
-            assert h._agreement_check(t, 4) == (hypergraph.ExtensionCheck(False, True, ce, 1), h._window_replacements(ce, 4))
+            assert h._agreement_check(t, 4) == (hypergraph.ExtensionCheck(False, True, ce, 1), moved)
         assert h._agreement_check(1, 4) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
 
     def test_plain_counterexample_answers_every_cap(self, monkeypatch):
         # the plain search's first smallest cover does not depend on the cap
         h = random_hypergraph(3, 8, 0.5, Random(1))
-        chk = h._agreement_check(5, 0)[0]
+        chk, moved = h._agreement_check(5, 0)
         assert not chk.holds and chk.exhaustive and len(chk.counterexample) < 5
+        assert moved == walked_replacements(h, chk.counterexample, 0)
         monkeypatch.setattr(Hypergraph, "_cover_search", None)
         for t in range(len(chk.counterexample), 12):
-            assert h._agreement_check(t, -1) == (chk, h._window_replacements(chk.counterexample, 0))
+            assert h._agreement_check(t, -1) == (chk, moved)
         assert h._agreement_check(1, 0) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
 
     def test_stopped_checks_not_kept(self, monkeypatch):

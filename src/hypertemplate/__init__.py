@@ -98,7 +98,6 @@ from .oracle import (
     naive_f_signature,
     naive_oplus_test,
     naive_transfer_check,
-    sampled_oplus_test,
 )
 from . import serialization
 

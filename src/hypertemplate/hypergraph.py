@@ -15,9 +15,7 @@ only for the search.  These checks live in _Level, which random_template
 also runs on a drawn level before only the accepted draw becomes a
 Hypergraph.  The same search, over one set-up per vertex, with window
 masks in closed form, decides the window variant the agreement test rests
-on.  A Hypergraph keeps that test's last exhaustive result per window
-start, with its cap, which answers every later check at a cap no larger
-and, when it is a counterexample, at any cap.
+on; a window check keeps nothing of its own, so each one searches afresh.
 """
 
 from __future__ import annotations
@@ -211,7 +209,7 @@ class Hypergraph(_Level):
     and helpers come from _Level.
     """
 
-    __slots__ = ("uniform_edges", "_mask_cache", "_kept")
+    __slots__ = ("uniform_edges", "_mask_cache")
 
     def __init__(self, arity: int, size: int, uniform_edges: Iterable[Iterable[int]] = ()):
         """The level with these uniform edges, each read once.  All edges
@@ -231,7 +229,6 @@ class Hypergraph(_Level):
         super().__init__(arity, size, None)
         object.__setattr__(self, "uniform_edges", frozenset(edges))
         object.__setattr__(self, "_mask_cache", {})
-        object.__setattr__(self, "_kept", {})  # _agreement_check's results by window start
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Hypergraph is immutable")
@@ -372,7 +369,9 @@ class Hypergraph(_Level):
         replacement repeats a vertex); one, its last, the OR of the masks of
         the sets sharing its other vertices and ending at or past start.
         One cover search runs over one set-up per distinct set of tuples
-        whose window masks hold a vertex, so its first cover is smallest."""
+        whose window masks hold a vertex, so its first cover is smallest; a
+        set of fewer than two masks, or of masks sharing a vertex, cannot
+        cover and gets no set-up."""
         return self._window_check(t, start)[0]
 
     def _window_check(self, t: int, start: int) -> tuple[ExtensionCheck, Optional[tuple[tuple[int, ...], ...]]]:
@@ -407,6 +406,8 @@ class Hypergraph(_Level):
                         seen.setdefault(m, tup)
                 if (key := frozenset(seen)) not in searched:
                     searched.add(key)
+                    if len(seen) < 2 or reduce(and_, seen):  # one mask, or a vertex in all: the search drops it unsearched
+                        continue
                     held = list(seen.items())
                     yield (_reach(self.size, held), *_setup(self.size, held, None))
 
@@ -420,25 +421,6 @@ class Hypergraph(_Level):
             else next(r for m, r in sets if r[:-1] == tup[:-1] and r[-1] >= start and m >> w & 1)
             for tup in chk.counterexample
         )
-
-    def _agreement_check(self, t: int, start: int) -> tuple[ExtensionCheck, Optional[tuple[tuple[int, ...], ...]]]:
-        """_window_check(t, start) for t >= 1, as the agreement test runs
-        it: the check and its counterexample's window replacements.  Per
-        window start (0 for the plain check) the level keeps its last
-        exhaustive result and its cap T, which answers, as a fresh check
-        would (_cover_search), a check at a cap t <= T and, when it is a
-        counterexample, at any cap.  A stopped result is never kept, so what
-        ran before on the level changes no answer."""
-        start = max(start, 0)
-        cap, chk, moved = self._kept.get(start, (0, None, None))
-        if chk is not None and (t <= cap or not chk.holds):
-            if chk.holds or len(chk.counterexample) > t:
-                return ExtensionCheck(True, True, proven=t), None
-            return chk, moved
-        chk, moved = self._window_check(t, start)
-        if chk.exhaustive:
-            self._kept[start] = (t, chk, moved)
-        return chk, moved
 
 
 def _reach(size: int, rows: list[tuple[int, tuple[int, ...]]]) -> list[int]:

@@ -3,14 +3,14 @@
 These deliberately avoid the level-wise shortcut: the type oracle walks
 every whole witness stem, the extension oracle walks every choice of
 tuples, the edge-partner oracle walks every tuple of stems, the signature
-oracle walks every predicate, and the transfer oracle walks every
-extension of every parameter.  Desk scale only.
+oracle walks every predicate, the transfer oracle walks every extension
+of every parameter, and the agreement oracle walks every pair of
+signature-matched families.  Desk scale only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from random import Random
 from typing import Optional, Sequence
@@ -21,13 +21,11 @@ from .signature import (
     OplusCounterexample,
     ParamType,
     SignatureFunction,
-    coverage_level,
     equality_patterns,
-    predicate_count,
     predicate_enumeration,
 )
 from .template import Template
-from .tree import Stem, _scan_levels, require_in_tree
+from .tree import Stem, require_in_tree
 from .typecheck import (
     PositiveTypeSpec,
     QfFormulaSpec,
@@ -217,8 +215,10 @@ def naive_oplus_test(t: Template, s: int, n: int) -> Optional[OplusCounterexampl
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """The sampled agreement search's budget: stems down to stem_depth,
-    families drawn, resamples per matched type, and the seed."""
+    """The budget of the sampled agreement search that the exact test
+    replaced: stems down to stem_depth, families drawn, resamples per
+    matched type, and the seed.  F_estimate and G_estimate accept one and
+    ignore it; bench/ still builds one."""
 
     stem_depth: int = 3
     families: int = 300
@@ -229,63 +229,3 @@ class SearchBudget:
         for name in ("stem_depth", "families", "resamples"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-
-def _sample_stems(sizes: Sequence[int], variables: int, rng: Random) -> tuple[Stem, ...]:
-    return tuple(tuple(rng.randrange(m) for m in sizes) for _ in range(variables))
-
-
-def _sample_matching(
-    base: tuple[Stem, ...], first: int, sizes: Sequence[int], lc: int, rng: Random, tries: int
-) -> Optional[tuple[Stem, ...]]:
-    """Stems agreeing with base's on signature indices < n, random beyond,
-    where first is the least level-lc rank of an index >= n.  They keep
-    base's first lc (the coverage level of n) entries, so only the
-    predicates of length lc + 1 can differ: each stem must sit under base's
-    there, or under one of index >= n where base's index is >= n.  When
-    n <= 0, lc is 0 and first < 0, so every stem is drawn afresh."""
-    if lc >= len(sizes):
-        return base  # nothing is left to draw
-    window = []  # per stem, the vertices it may take at level lc
-    for s in base:
-        start = first - reduce(lambda r, l: r * sizes[l] + s[l], range(lc), 0) * sizes[lc]
-        window.append((s[lc], s[lc]) if s[lc] < start else (start, sizes[lc]))
-    for _ in range(tries):
-        stems = tuple(s[:lc] + tuple(rng.randrange(m) for m in sizes[lc:]) for s in base)
-        if all(lo <= s[lc] <= hi for s, (lo, hi) in zip(stems, window)):
-            return stems
-    return None
-
-
-def sampled_oplus_test(
-    t: Template, s: int, n: int, budget: SearchBudget
-) -> tuple[Optional[OplusCounterexample], int]:
-    """The sampled agreement search: draw families of s types with stems
-    down to budget.stem_depth, and for each consistent one resample a
-    signature-matched family, scanning both on every level.  Returns the
-    first counterexample found, or None, and the number of families drawn.
-    A counterexample refutes the agreement property exactly; finding none
-    proves nothing."""
-    if s < 1 or n < 0:
-        raise InputError("need s >= 1 and n >= 0")
-    sizes = [t.level_size(l) for l in range(budget.stem_depth)]
-    graphs = t._level_graphs(budget.stem_depth)  # past the stems 0 is a witness
-    lc = coverage_level(t, n)
-    first = n - 1 - predicate_count(t, lc)  # the least level-lc rank of an index >= n
-    rng = Random(budget.seed)
-    tried = 0
-    for _ in range(budget.families):
-        tried += 1
-        fam_a = tuple(_sample_stems(sizes, t.arity - 1, rng) for _ in range(s))
-        if not _scan_levels(graphs, fam_a).consistent:
-            continue
-        fam_b = []
-        for stems in fam_a:
-            match = _sample_matching(stems, first, sizes, lc, rng, budget.resamples)
-            if match is None:
-                break
-            fam_b.append(match)
-        if len(fam_b) == s and not _scan_levels(graphs, fam_b).consistent:
-            fam_a, fam_b = (tuple(ParamType(stems=st) for st in fam) for fam in (fam_a, fam_b))
-            return OplusCounterexample(fam_a, fam_b, n), tried
-    return None, tried

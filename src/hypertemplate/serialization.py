@@ -105,11 +105,18 @@ class _Lines:
             raise InputError(f"{what}: expected one integer, got {parts}")
         return _ints(parts, what)[0]
 
+    def count(self, keyword: str, what: str) -> int:
+        """A count line's one integer, rejected when negative."""
+        n = self.int(keyword, what)
+        if n < 0:
+            raise InputError(f"{what} must be >= 0, got {n}")
+        return n
+
     def items(self, count: int, item: str, what: str) -> Iterator[list[int]]:
         """The integers after item on each of the next count lines.  A
         regular block (_regular) is read at once; any other line by line,
         so the first malformed line names the error, before a missing one."""
-        chunk = self.lines[self.pos : self.pos + max(count, 0)]
+        chunk = self.lines[self.pos : self.pos + count]
         self.pos += len(chunk)
         rows = _regular(chunk, count, item)
         if rows is not None:
@@ -128,7 +135,7 @@ class _Lines:
 
     def block(self, keyword: str, what: str, item: str, item_what: str) -> list[list[int]]:
         """A count line, then that many item lines of integers."""
-        return list(self.items(self.int(keyword, what), item, item_what))
+        return list(self.items(self.count(keyword, what), item, item_what))
 
     def done(self) -> None:
         if self.pos != len(self.lines):
@@ -203,7 +210,7 @@ def load_model(text: str) -> FiniteModel:
     level = ln.int("level", "model level")
     if level < 0:
         raise InputError(f"model level must be >= 0, got {level}")
-    count = ln.int("elements", "model element count")
+    count = ln.count("elements", "model element count")
     leaves = []
     for i, vals in enumerate(ln.items(count, "el", "model element")):
         if len(vals) != level + 1 or vals[:1] != [i]:  # an el line needs its index
@@ -232,7 +239,7 @@ def load_typespec(text: str) -> tuple[PositiveTypeSpec, int]:
     arity = ln.int("arity", "typespec arity")
     xparts = ln.expect("xstem")
     x_stem = None if xparts == ["-"] else tuple(_ints(xparts, "typespec xstem"))
-    count = ln.int("params", "typespec param count")
+    count = ln.count("params", "typespec param count")
     params = []
     for _ in range(count):
         ln.expect("tuple")
@@ -286,12 +293,12 @@ def dump_scenario(sc: Scenario) -> str:
 
 def load_scenario(text: str) -> Scenario:
     ln = _Lines(text, "scenario", SCENARIO_HEADER)
-    tcount = ln.int("template-lines", "scenario template length")
+    tcount = ln.count("template-lines", "scenario template length")
     template = load_template("\n".join([ln.next() for _ in range(tcount)]))
     depths = tuple(ln.ints("depths", "scenario depths"))
     if not depths:
         raise InputError("scenario: needs at least one index depth")
-    icount = ln.int("instances", "scenario instance count")
+    icount = ln.count("instances", "scenario instance count")
     k1 = template.arity - 1
     instances = []
     for _ in range(icount):

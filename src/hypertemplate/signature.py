@@ -12,18 +12,18 @@ lexicographically, so the predicate of stem prefix p sits at index
 1 + (number of shorter predicates) + (mixed-radix rank of p over the level
 sizes).  Each template keeps those counts by depth (Template._counts_to),
 and every index formula here reads them: predicate_count looks one up,
-coverage_level bisects them, the rest follow.  A type's stems extend at
-most (k-1) * depth predicates, so every other value is 0 and a signature
-costs O(k * depth) to fill in;
-``oracle.naive_f_signature`` keeps the enumeration as a cross-check.  The
-same layout gives the first index at which two types' signatures differ
-(first_difference) from their stems' prefixes, with no signature built.
+coverage_level bisects them, the rest follow.  A signature holds
+1 + predicate_count(t, depth) values, but a type's stems extend at most
+(k-1) * depth predicates, so every other value is 0 and only O(k * depth)
+writes fill it in; ``oracle.naive_f_signature`` keeps the enumeration as
+a cross-check.  The same layout gives the first index at which two types'
+signatures differ (first_difference) from their stems' prefixes, with no
+signature built.
 
 The agreement test, and F and G over it, are decided level by level with
 the extension check's cover search, so "holds" is a proof unless a node
 bound stopped a check; ``oracle.naive_oplus_test`` walks every pair of
-families instead, and ``oracle.sampled_oplus_test`` keeps the sampled
-search this replaced.
+families instead.
 """
 
 from __future__ import annotations
@@ -272,17 +272,14 @@ def _agreement_scan(t: Template, n: int, cap: Optional[int] = None):
     cover of c tuples lowering cap to c - 1.  Returns the first level with
     the smallest cover, its window replacements and tuples, or None; and
     the least count a stopped check proved, INFINITE when none stopped.
-
-    The checks go through Hypergraph._agreement_check, so a level searches
-    again at a window start only for a cap above that of its kept proof:
-    F_estimate's loop over n reuses each level's checks across n, and
-    G_estimate's uncapped scan reuses every kept counterexample."""
+    Each check is a fresh Hypergraph._window_check (the plain check at
+    start <= 0); no result is kept from one scan to the next."""
     lc = coverage_level(t, n)
     found, proven = None, INFINITE
     for l in range(lc, t.prefix_len):
         h = t._graphs[l]
         window = _window_start(t, n, lc) if l == lc else 0
-        chk, moved = h._agreement_check(h.size ** (h.arity - 1) if cap is None else cap, window)
+        chk, moved = h._window_check(h.size ** (h.arity - 1) if cap is None else cap, window)
         if not chk.exhaustive:
             proven = min(proven, chk.proven)
         if not chk.holds:
@@ -333,8 +330,7 @@ def F_estimate(t: Template, s: int, budget=None) -> FEstimate:
     n, F lies between n and the analytic bound (sound on a valid template)
     and exact is False.  The loop ends by predicate_count(t, prefix) + 1,
     where only complete levels are left from the coverage level on.
-    budget is accepted and ignored, so callers of the sampled search that
-    preceded this one keep working."""
+    budget is accepted and ignored (bench/ passes an oracle.SearchBudget)."""
     if s < 1:
         raise InputError(f"count must be >= 1, got {s}")
     bound = analytic_f_bound(t, s)

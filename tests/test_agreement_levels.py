@@ -1,7 +1,7 @@
 """The exact agreement test, and G over it, against the brute force, which
-scans every level of every pair of families, and against the sampled
-search, every refutation of which is exact; and the one-pass analytic
-capacity table against its per-n definition."""
+scans every level of every pair of families; F and G against the test
+they are defined over; and the one-pass analytic capacity table against
+its per-n definition."""
 
 import pickle
 from itertools import combinations
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypertemplate import hypergraph, signature
 from hypertemplate.hypergraph import Hypergraph, random_hypergraph
-from hypertemplate.oracle import SearchBudget, naive_oplus_test, sampled_oplus_test
+from hypertemplate.oracle import naive_oplus_test
 from hypertemplate.signature import (
     F_estimate,
     G_estimate,
@@ -64,14 +64,13 @@ def assert_replays(t, ce, n):
 
 def assert_kept_checks_change_no_result(t, s, n):
     """F_estimate(t, s), G_estimate(t, n) and oplus_test(t, s, n), run in
-    three orders on one copy of t, each equal what it returns on a cold
-    copy; returns the test's result."""
+    three orders on one copy of t, which keeps its levels' completion
+    tables, reach bounds, set-ups and witness masks between them, each equal
+    what it returns on a cold copy; returns the test's result."""
     runs = {"F": lambda u: F_estimate(u, s), "G": lambda u: G_estimate(u, n), "oplus": lambda u: oplus_test(u, s, n)}
 
     def cold():
-        u = pickle.loads(pickle.dumps(t))
-        assert not any(h._kept for h in u._graphs)
-        return u
+        return pickle.loads(pickle.dumps(t))
 
     alone = {name: run(cold()) for name, run in runs.items()}
     for order in (("G", "F", "oplus"), ("F", "G", "oplus"), ("oplus", "G", "F")):
@@ -98,22 +97,11 @@ class TestAgreementLevels:
             assert_replays(t, res.counterexample, n)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        templates(),
-        st.integers(1, 5),
-        st.sampled_from([(20, 10), (300, 50)]),  # the signature workload's and the old CLI default
-        st.integers(0, 2**16),
-        st.data(),
-    )
-    def test_every_sampled_refutation_is_exact(self, t, stem_depth, draws, seed, data):
-        families, resamples = draws
-        budget = SearchBudget(stem_depth=stem_depth, families=families, resamples=resamples, seed=seed)
+    @given(templates(), st.data())
+    def test_F_and_G_agree_with_the_test(self, t, data):
         s = data.draw(st.integers(1, 4), label="s")
         n = data.draw(st.integers(0, analytic_f_bound(t, s) + 1), label="n")
-        sampled, _tried = sampled_oplus_test(t, s, n, budget)
         res = oplus_test(t, s, n)
-        if sampled is not None:
-            assert res.counterexample is not None
         if res.counterexample is not None:
             assert_replays(t, res.counterexample, n)
         # F is the least n that holds, since refutations carry down to smaller n
@@ -152,7 +140,7 @@ class TestAgreementLevels:
     @settings(max_examples=150, deadline=None)
     @given(templates(k_max=3, levels_max=2, size_max=4), st.data())
     def test_kept_checks_change_no_result(self, t, data):
-        # F, G and the test read the levels' kept checks; run in any order
+        # F, G and the test read the levels' kept state; run in any order
         # on one template they return what each returns on a cold copy,
         # also under a node bound small enough to stop some checks
         stems = prod(t.level_size(l) for l in range(t.prefix_len))
@@ -177,6 +165,14 @@ class TestAgreementLevels:
         for n in (2, 3):
             assert not assert_kept_checks_change_no_result(t, 3, n).exhaustive
 
+    def test_certificate_from_the_first_level_with_the_smallest_cover(self):
+        # two edgeless levels each fail at two tuples; the scan keeps the
+        # first, so the certificate's stems end at level 0
+        t = Template(2, [(Hypergraph(2, 3), 1), (Hypergraph(2, 3), 1)], TailPolicy("complete_growing", 1))
+        for ce in (oplus_test(t, 2, 0).counterexample, G_estimate(t, 0).certificate):
+            assert [pt.stems for pt in ce.inconsistent_family] == [((0,),), ((1,),)]
+            assert_replays(t, ce, 0)
+
     def test_returns_without_drawing_when_no_level_can_fail(self):
         # level 0 is complete; on level 1 (no edges) a vertex's witness mask
         # is itself, so one complement misses a vertex: no level can fail at
@@ -184,7 +180,6 @@ class TestAgreementLevels:
         t = Template(2, [(Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)]), 1), (Hypergraph(2, 4), 1)])
         with mock.patch.object(Hypergraph, "_cover_search", side_effect=AssertionError("searched")):
             assert oplus_test(t, 1, 0) == OplusResult(1, 0, True, None)
-        assert sampled_oplus_test(t, 1, 0, SearchBudget(families=40))[0] is None
 
 
 @settings(max_examples=400, deadline=None)

@@ -548,7 +548,7 @@ class TestWindowExtension:
             assert len(ce) <= t and naive_extension_witness(h, ce) is None
             # smallest over every vertex: each choice of fewer tuples passes
             assert len(ce) == 1 or naive_window_holds(h, len(ce) - 1, start)
-            moved = h._agreement_check(t, start)[1]
+            moved = h._window_check(t, start)[1]
             assert moved == walked_replacements(h, ce, start)
             assert naive_extension_witness(h, moved) is not None
             for tup, r in zip(ce, moved, strict=True):
@@ -572,7 +572,7 @@ class TestWindowExtension:
             if bound is not None:
                 m.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
             for start in range(-1, size + 2):
-                chk, moved = pickle.loads(pickle.dumps(h))._agreement_check(t, start)
+                chk, moved = pickle.loads(pickle.dumps(h))._window_check(t, start)
                 assert chk == walked_window_check(pickle.loads(pickle.dumps(h)), t, start)
                 assert chk == pickle.loads(pickle.dumps(h)).check_window_extension(t, start)
                 assert moved == (None if chk.holds else walked_replacements(h, chk.counterexample, start))
@@ -597,7 +597,7 @@ class TestWindowExtension:
         h = random_hypergraph(arity, size, 0.3, Random(seed))
         assert walked_replacements(h, ce, start) == moved
         assert walked_window_check(h, t, start) == hypergraph.ExtensionCheck(False, True, ce, len(ce) - 1)
-        assert h._agreement_check(t, start) == (hypergraph.ExtensionCheck(False, True, ce, len(ce) - 1), moved)
+        assert h._window_check(t, start) == (hypergraph.ExtensionCheck(False, True, ce, len(ce) - 1), moved)
 
     def test_start_at_the_last_vertex_holds(self):
         # at start = size - 1 a set's one window replacement is itself, so
@@ -606,7 +606,7 @@ class TestWindowExtension:
             h = random_hypergraph(3, 6, 0.3, Random(seed))
             for tup in itertools.combinations(range(6), 2):
                 assert walked_window_mask(h, tup, 5) == h.witness_mask(tup)
-            assert h._agreement_check(36, 5) == (hypergraph.ExtensionCheck(True, True, None, 36), None)
+            assert h._window_check(36, 5) == (hypergraph.ExtensionCheck(True, True, None, 36), None)
 
     def test_smallest_cover_over_every_vertex(self):
         # the first vertex with a cover gives three tuples, (2,4) (3,5) (4,5),
@@ -617,10 +617,11 @@ class TestWindowExtension:
         assert not naive_window_holds(h, 2, 4) and naive_window_holds(h, 1, 4)
 
     def test_one_node_bound_for_every_vertex(self, monkeypatch):
-        # one search over four vertex set-ups: at t = 2 their size-2 passes
-        # visit 6, 0, 3 and 4 nodes, 13 in all, so a bound of 13 lets it
+        # one search over three vertex set-ups: at t = 2 their size-2
+        # passes visit 6, 3 and 4 nodes, 13 in all, so a bound of 13 lets it
         # finish and one of 12 stops it, though no one set-up reaches 12;
-        # t = 1 stays proven, since a tuple's own vertices witness it
+        # t = 1 stays proven, since a tuple's own vertices witness it.  A
+        # fourth vertex's tuples share a witness, so it gets no set-up
         h = random_hypergraph(3, 6, 0.6, Random(5))
         built = []
         setup = hypergraph._setup
@@ -631,7 +632,7 @@ class TestWindowExtension:
 
         monkeypatch.setattr(hypergraph, "_setup", spy)
         assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, True, None, 2)
-        assert len(built) == 4
+        assert len(built) == 3
         monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 13)
         assert h.check_window_extension(2, 4) == hypergraph.ExtensionCheck(True, True, None, 2)
         monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 12)
@@ -657,6 +658,26 @@ class TestWindowExtension:
         chk = h.check_window_extension(3, 5)
         assert not chk.holds and len(chk.counterexample) == 2
         assert built == keys[:4]
+
+    def test_no_set_up_for_a_vertex_whose_tuples_cannot_cover(self, monkeypatch):
+        # edgeless, k = 2: a vertex w below start lies in the window mask of
+        # (w,) alone, so only w = start, whose masks are the disjoint {v}
+        # for v >= start, gets a set-up, and its first two complements cover
+        h = Hypergraph(2, 12)
+        built = []
+        setup = hypergraph._setup
+
+        def spy(size, rows, span):
+            built.append(rows)
+            return setup(size, rows, span)
+
+        monkeypatch.setattr(hypergraph, "_setup", spy)
+        for start in range(1, 11):
+            built.clear()
+            chk, moved = h._window_check(2, start)
+            assert chk == hypergraph.ExtensionCheck(False, True, ((start,), (start + 1,)), 1)
+            assert moved == walked_replacements(h, chk.counterexample, start)
+            assert len(built) == 1
 
     @given(
         st.integers(2, 4),
@@ -691,6 +712,9 @@ class TestWindowExtension:
 
 
 class TestKeptAgreementChecks:
+    """Window checks on a level that keeps its completion table, reach
+    bound, set-ups and witness masks from earlier checks."""
+
     @given(
         st.integers(2, 4),
         st.integers(1, 7),
@@ -700,59 +724,36 @@ class TestKeptAgreementChecks:
         st.sampled_from([None, 5, 10, 20, 40]),
     )
     # within 5 nodes the window check at start 3 finds two tuples at cap
-    # 2, and that kept result answers cap 3: a fresh check at cap 3 finds
-    # them too, in its size-2 pass, before a size-3 search could stop it
+    # 2, and at cap 3 it finds them too, in its size-2 pass, before a
+    # size-3 search could stop it
     @example(2, 6, 0.3, 8, [(2, 3), (3, 3)], 5)
     # within 10 nodes the plain check proves cap 3, but the window check at
-    # start 1 and cap 3 stops: a result answers only checks at its own start
+    # start 1 and cap 3 stops
     @example(2, 5, 0.6, 1, [(3, 0), (3, 1)], 10)
     @settings(max_examples=200, deadline=None)
     def test_interleaved_queries_match_a_cold_copy(self, arity, size, p, seed, queries, bound):
-        # whatever was kept before, each answer is the fresh check's on a
-        # copy with nothing kept, and so are the window replacements; a
-        # small node bound stops some checks, the fresh ones among them
+        # whatever ran before, each answer is the check's on a cold copy,
+        # and so are the window replacements; a small node bound stops some
+        # checks, the cold ones among them
         h = random_hypergraph(arity, size, p, Random(seed))
         with pytest.MonkeyPatch.context() as m:
             if bound is not None:
                 m.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
             for t, start in queries:
-                chk, moved = h._agreement_check(t, start)
+                chk, moved = h._window_check(t, start)
                 cold = pickle.loads(pickle.dumps(h))
-                assert not cold._kept
                 assert chk == cold.check_window_extension(t, start)
                 assert moved == (None if chk.holds else walked_replacements(cold, chk.counterexample, start))
 
-    def test_kept_window_counterexample_answers_every_cap(self, monkeypatch):
-        h = random_hypergraph(3, 8, 0.5, Random(1))
-        ce = ((2, 3), (4, 5))
-        moved = walked_replacements(h, ce, 4)
-        assert h._agreement_check(4, 4) == (hypergraph.ExtensionCheck(False, True, ce, 1), moved)
-        monkeypatch.setattr(Hypergraph, "_cover_search", None)  # any search would raise
-        for t in (2, 3, 4, 5, 12, 64):
-            assert h._agreement_check(t, 4) == (hypergraph.ExtensionCheck(False, True, ce, 1), moved)
-        assert h._agreement_check(1, 4) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
-
-    def test_plain_counterexample_answers_every_cap(self, monkeypatch):
+    def test_plain_counterexample_answers_every_cap(self):
         # the plain search's first smallest cover does not depend on the cap
         h = random_hypergraph(3, 8, 0.5, Random(1))
-        chk, moved = h._agreement_check(5, 0)
+        chk, moved = h._window_check(5, 0)
         assert not chk.holds and chk.exhaustive and len(chk.counterexample) < 5
         assert moved == walked_replacements(h, chk.counterexample, 0)
-        monkeypatch.setattr(Hypergraph, "_cover_search", None)
         for t in range(len(chk.counterexample), 12):
-            assert h._agreement_check(t, -1) == (chk, moved)
-        assert h._agreement_check(1, 0) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
-
-    def test_stopped_checks_not_kept(self, monkeypatch):
-        # the window check of test_one_node_bound_for_every_vertex
-        h = random_hypergraph(3, 6, 0.6, Random(5))
-        monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", 12)
-        assert h._agreement_check(2, 4) == (hypergraph.ExtensionCheck(True, False, None, 1), None)
-        assert not h._kept
-        monkeypatch.undo()
-        proof = hypergraph.ExtensionCheck(True, True, None, 2)
-        assert h._agreement_check(2, 4) == (proof, None)
-        assert h._kept == {4: (2, proof, None)}
+            assert h._window_check(t, -1) == (chk, moved)
+        assert h._window_check(1, 0) == (hypergraph.ExtensionCheck(True, True, None, 1), None)
 
 
 class TestConstruction:

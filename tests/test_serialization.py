@@ -171,6 +171,29 @@ class TestBlockErrors:
             ser.load_model(text)
 
 
+ONE_LEVEL = ["hgt-template 1", "arity 2", "prefix 1", "level 0 size 1 f 1", "edges 0", "tail complete_growing 1"]
+
+
+@pytest.mark.parametrize(
+    "load, lines, message",
+    [
+        (ser.load_template, ONE_LEVEL[:4] + ["edges -2"] + ONE_LEVEL[5:], "template edge count must be >= 0, got -2"),
+        (ser.load_model, ["hgt-model 1", "arity 2", "level 0", "elements -3", "edges 0"], "model element count must be >= 0, got -3"),
+        (ser.load_model, ["hgt-model 1", "arity 2", "level 0", "elements 0", "edges -1"], "model edge count must be >= 0, got -1"),
+        (ser.load_typespec, ["hgt-typespec 1", "arity 2", "xstem -", "params -1"], "typespec param count must be >= 0, got -1"),
+        (ser.load_scenario, ["hgt-scenario 1", "template-lines -1", *ONE_LEVEL, "depths 1", "instances 0"],
+         "scenario template length must be >= 0, got -1"),
+        (ser.load_scenario, ["hgt-scenario 1", "template-lines 6", *ONE_LEVEL, "depths 1", "instances -4"],
+         "scenario instance count must be >= 0, got -4"),
+    ],
+    ids=["template-edges", "model-elements", "model-edges", "typespec-params", "scenario-template-lines", "scenario-instances"],
+)
+def test_negative_count_rejected(load, lines, message):
+    # a negative count once read as an empty block, so the file loaded
+    with pytest.raises(InputError, match=f"^{message}$"):
+        load("\n".join(lines) + "\n")
+
+
 def _reference_block(lines, count, item, what, item_what):
     """A count line's rows as the loop over each line reads them: the first
     malformed line names the error, then a count past the last line."""
@@ -279,10 +302,13 @@ class TestScenarioFormat:
 # deleted, with only its entry left out; they fix every dump byte, every
 # loaded object and every rejection message.  The mutation digest was
 # re-recorded when load_model began to reject a negative level: four
-# mutations that set a model's level to -1 now raise that error first.
+# mutations that set a model's level to -1 now raise that error first.  It
+# was re-recorded again when every count line began to reject a negative
+# count: 18 mutations that set a count to -1, which loaded as an empty
+# block or failed later, now raise that error.
 
 DUMP_DIGEST = "1f8c7a004d7e905f271ddd1a270e064400be236e3f960e5493cf917d5e43c078"
-MUTATION_DIGEST = "ecba16b9f40380257bbb6670cd29ee5c6595c0659ccccdb5c3dd24ec27bbfadf"
+MUTATION_DIGEST = "61886b18d693b8744091a758563e28e262cc3a9f6ac5ea2b2df3cef53513a80c"
 
 
 def _rgs(rng, n):

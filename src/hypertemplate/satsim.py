@@ -92,10 +92,15 @@ def agreement_level(sc: Scenario, alpha: int, ti: int) -> int:
     """Largest signature index n <= the index depth on which the per-index
     tuple's signature agrees with the limit tuple's.  Always >= 0.
 
+    The unit is a signature index, the one the G table is indexed by: the
+    first index at which the two signatures differ, capped at the index's
+    depth.  The cap is sound because G is nondecreasing (a counterexample
+    matched up to index n + 1 is also matched up to n), so the capacity
+    read, G(min(n, depth)), is at most G(n).
+
     Checks both types as f_signature would, then reads the level off their
     stems in closed form (signature.first_difference); build_distribution,
-    having checked every type once in validate_scenario, reads it directly.
-    The cap stays at the index depth."""
+    having checked every type once in validate_scenario, reads it directly."""
     t = sc.template
     inst = sc.instances[alpha]
     depth = sc.depths[ti]

@@ -23,7 +23,9 @@ signature built.
 The agreement test, and F and G over it, are decided level by level with
 the extension check's cover search, so "holds" is a proof unless a node
 bound stopped a check; ``oracle.naive_oplus_test`` walks every pair of
-families instead.
+families instead.  The test depends on n only through its coverage level
+and window start, so F walks n in runs that share one scan: per coverage
+level, every n whose start is <= 0, then each later start alone.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, product
+from itertools import product
 from math import inf
 from typing import Optional, Sequence, Union
 
@@ -99,6 +101,8 @@ def predicate_count(t: Template, depth: int) -> int:
 def coverage_level(t: Template, n: int) -> int:
     """Largest tree level L such that all predicates of length <= L have
     signature index < n (index 0 is the equality code)."""
+    if n < 0:
+        raise InputError(f"need n >= 0, got {n}")
     return bisect_right(t._counts_to(0, n), n - 1, 1) - 1
 
 
@@ -141,6 +145,8 @@ class SignatureFunction:
     depth: int  # tree depth covered by the enumeration
 
     def restrict(self, n: int) -> tuple[int, ...]:
+        if n < 0:
+            raise InputError(f"need n >= 0, got {n}")
         return self.values[:n]
 
 
@@ -181,7 +187,9 @@ def f_signature(t: Template, ptype: ParamType, depth: int) -> SignatureFunction:
 def first_difference(t: Template, a: ParamType, b: ParamType, depth: int) -> int:
     """The first index at which the depth-depth signatures of two types
     that check_signature_input accepts differ, capped at depth, read off
-    the stems' prefixes without building either signature.
+    the stems' prefixes without building either signature.  The unit is a
+    signature index, as G's; the cap is sound for a G lookup because G is
+    nondecreasing, so G(min(n, depth)) <= G(n).
 
     Index 0 is the pattern code, and canonical patterns have distinct
     codes.  Level l's values start at 1 + (count of shorter predicates),
@@ -328,19 +336,30 @@ def F_estimate(t: Template, s: int, budget=None) -> FEstimate:
     """Least n at which the agreement test finds no counterexample, with a
     certificate for every smaller n.  When a node bound stops the test at
     n, F lies between n and the analytic bound (sound on a valid template)
-    and exact is False.  The loop ends by predicate_count(t, prefix) + 1,
+    and exact is False.  The walk ends by predicate_count(t, prefix) + 1,
     where only complete levels are left from the coverage level on.
+
+    The test depends on n only through its coverage level lc and the window
+    start clamped at 0, so n is walked in runs: every n of level lc whose
+    start is <= 0 (n <= predicate_count(t, lc + 1) - level_size(lc) + 1)
+    is one run, and each later start is a run of one n.  A run takes one
+    _agreement_scan and one certificate, which each of its n repeats with
+    its own agreement, equal to oplus_test(t, s, n).counterexample.
     budget is accepted and ignored (bench/ passes an oracle.SearchBudget)."""
     if s < 1:
         raise InputError(f"count must be >= 1, got {s}")
     bound = analytic_f_bound(t, s)
     certs = []
-    for n in count():
-        res = oplus_test(t, s, n)
-        if res.counterexample is None:
-            upper = n if res.exhaustive else bound
-            return FEstimate(s, n, upper, res.exhaustive, bound, tuple(certs))
-        certs.append(res.counterexample)
+    n = 0
+    while True:
+        last = n - min(_window_start(t, n, coverage_level(t, n)), 0)  # the run's last n, at start 0
+        found, proven = _agreement_scan(t, n, s)
+        if found is None:
+            exact = proven == INFINITE
+            return FEstimate(s, n, n if exact else bound, exact, bound, tuple(certs))
+        cert = _certificate(t, s, n, *found)
+        certs += [OplusCounterexample(cert.consistent_family, cert.inconsistent_family, m) for m in range(n, last + 1)]
+        n = last + 1
 
 
 @dataclass(frozen=True)
@@ -356,6 +375,8 @@ def analytic_g_lower(t: Template, n: int) -> Union[int, float]:
     """min f over levels from the coverage level of n on: that many
     instances survive any agreement-preserving replacement.  INFINITE on a
     complete template, as in analytic_g_table: every count survives there."""
+    if n < 0:
+        raise InputError(f"need n >= 0, got {n}")
     if t.is_complete():
         return INFINITE
     p = t.prefix_len  # tail arities are nondecreasing

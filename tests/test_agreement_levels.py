@@ -4,7 +4,7 @@ they are defined over; and the one-pass analytic capacity table against
 its per-n definition."""
 
 import pickle
-from itertools import combinations
+from itertools import combinations, count
 from math import prod
 from random import Random
 from unittest import mock
@@ -17,6 +17,7 @@ from hypertemplate.hypergraph import Hypergraph, random_hypergraph
 from hypertemplate.oracle import naive_oplus_test
 from hypertemplate.signature import (
     F_estimate,
+    FEstimate,
     G_estimate,
     OplusResult,
     analytic_f_bound,
@@ -26,7 +27,7 @@ from hypertemplate.signature import (
     family_consistent,
     oplus_test,
 )
-from hypertemplate.template import TailPolicy, Template
+from hypertemplate.template import TailPolicy, Template, random_template
 
 
 @st.composite
@@ -60,6 +61,32 @@ def assert_replays(t, ce, n):
     for a, b in zip(ce.consistent_family, ce.inconsistent_family, strict=True):
         depth = len(a.stems[0])
         assert f_signature(t, a, depth).restrict(n) == f_signature(t, b, depth).restrict(n)
+
+
+def walked_F(t, s):
+    """F_estimate by its definition: oplus_test at n = 0, 1, 2, ... up to the
+    first n it does not refute, keeping each refutation's counterexample."""
+    bound = analytic_f_bound(t, s)
+    certs = []
+    for n in count():
+        res = oplus_test(t, s, n)
+        if res.counterexample is None:
+            return FEstimate(s, n, n if res.exhaustive else bound, res.exhaustive, bound, tuple(certs))
+        certs.append(res.counterexample)
+
+
+def non_complete_random_templates(count_wanted, seed):
+    """random_template draws (k 2-3, 1-3 levels of k..6 vertices, edge
+    probability 0.3-0.95, target f 1-3), skipping complete templates."""
+    rng, out = Random(seed), []
+    while len(out) < count_wanted:
+        k = rng.choice([2, 2, 3])
+        sizes = [rng.randint(k, 6) for _ in range(rng.randint(1, 3))]
+        tf = [rng.randint(1, min(3, size)) for size in sizes]
+        t = random_template(k, sizes, rng.uniform(0.3, 0.95), tf, rng.randrange(10**6))
+        if not t.is_complete():
+            out.append(t)
+    return out
 
 
 def assert_kept_checks_change_no_result(t, s, n):
@@ -172,6 +199,34 @@ class TestAgreementLevels:
         for ce in (oplus_test(t, 2, 0).counterexample, G_estimate(t, 0).certificate):
             assert [pt.stems for pt in ce.inconsistent_family] == [((0,),), ((1,),)]
             assert_replays(t, ce, 0)
+
+    @pytest.mark.parametrize("bound", [None, 30, 8])
+    def test_F_runs_equal_the_walk_of_every_n(self, bound, monkeypatch):
+        # F scans once per run of n that shares a coverage level and a
+        # window start clamped at 0; bounds, exactness and every
+        # certificate equal a walk that runs the test at each n, also
+        # where a node bound stops checks (at 30 and 8 some F are inexact)
+        if bound is not None:
+            monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
+        inexact = 0
+        for t in non_complete_random_templates(150, 27):
+            for s in (1, 2, 3):
+                F = F_estimate(t, s)
+                assert F == walked_F(t, s)
+                inexact += not F.exact
+        assert (inexact > 0) == (bound is not None)
+
+    def test_F_scans_once_per_run(self):
+        # two edgeless 30-vertex levels: F(2) = 930 = 30 + 30 * 30, refuted
+        # at every smaller n.  Per coverage level, the n with window start
+        # <= 0 share one scan and each start 1..29 takes its own: 2 * 30
+        # scans, where a walk of every n makes 931
+        t = Template(2, [(Hypergraph(2, 30), 1), (Hypergraph(2, 30), 1)], TailPolicy("complete_growing", 1))
+        with mock.patch.object(signature, "_agreement_scan", wraps=signature._agreement_scan) as scan:
+            F = F_estimate(t, 2)
+        assert scan.call_count == 60
+        assert F.exact and F.lower_bound == F.upper_bound == len(F.certificates) == 930
+        assert [ce.agreement for ce in F.certificates] == list(range(930))
 
     def test_returns_without_drawing_when_no_level_can_fail(self):
         # level 0 is complete; on level 1 (no edges) a vertex's witness mask

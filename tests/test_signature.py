@@ -84,6 +84,11 @@ class TestPredicateEnumeration:
             assert predicate_count(t, L) <= max(0, n - 1)
             assert predicate_count(t, L + 1) > n - 1
 
+    def test_coverage_level_rejects_negative_index(self):
+        # a negative n is no signature index; -1 would read as level 0
+        with pytest.raises(InputError, match="^need n >= 0, got -1$"):
+            coverage_level(bottleneck_template(), -1)
+
 
 class TestFSignature:
     def test_equality_code_first(self):
@@ -114,6 +119,15 @@ class TestFSignature:
         a = ParamType(stems=((0, 1, 0, 0),))
         b = ParamType(stems=((0, 1, 1, 1),))
         assert f_signature(t, a, 4).restrict(n) == f_signature(t, b, 4).restrict(n)
+
+    def test_restrict_rejects_negative_index(self):
+        # restrict(-1) would slice off the last value, keeping 12 of 13 here
+        h = complete_hypergraph(3, 3)
+        t = Template(3, [(h, 1), (h, 1)], TailPolicy("complete_growing", 1))
+        sig = f_signature(t, ParamType(stems=((0, 0), (0, 1))), 2)
+        assert len(sig.values) == 13 and sig.restrict(0) == ()
+        with pytest.raises(InputError, match="^need n >= 0, got -1$"):
+            sig.restrict(-1)
 
     def test_short_stems_rejected(self):
         t = complete_template(2, 3)
@@ -248,6 +262,11 @@ class TestFandG:
         # agreement past the coverage level pins the bottleneck coordinate
         assert analytic_g_lower(t, 0) == 1
         assert analytic_g_lower(t, 3) >= 2
+
+    def test_analytic_g_lower_rejects_negative_index(self):
+        # -1 would read as the coverage level of 0, a capacity of 1
+        with pytest.raises(InputError, match="^need n >= 0, got -1$"):
+            analytic_g_lower(bottleneck_template(), -1)
 
     def test_analytic_g_table_shapes(self):
         assert analytic_g_table(complete_template(2, 2), 4) == [inf] * 5

@@ -215,7 +215,7 @@ def cmd_estimate_fg(args) -> int:
             ("F-upper", est.upper_bound),
             ("F-exact", str(est.exact).lower()),
             ("F-analytic-bound", est.analytic_bound),
-            ("F-certificates", len(est.certificates)),
+            ("F-certificates", est.lower_bound),
         ]
     if args.G is not None:
         est = G_estimate(t, args.G)

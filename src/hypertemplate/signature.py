@@ -23,15 +23,15 @@ signature built.
 The agreement test, and F and G over it, are decided level by level with
 the extension check's cover search, so "holds" is a proof unless a node
 bound stopped a check; ``oracle.naive_oplus_test`` walks every pair of
-families instead.  The test depends on n only through its coverage level
-and window start, so F walks n in runs that share one scan: per coverage
-level, every n whose start is <= 0, then each later start alone.
+families instead.  Refutation is closed downward in n (families matched
+up to n are matched up to every smaller n), so F is found by doubling
+then bisection, and one counterexample certifies every refuted n.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from math import inf
@@ -319,11 +319,16 @@ INFINITE = inf
 @dataclass(frozen=True)
 class FEstimate:
     s: int
-    lower_bound: int  # counterexamples certify every smaller n fails
+    lower_bound: int  # every smaller n is refuted, by certificate
     upper_bound: int  # F itself when exact, else the analytic bound
     exact: bool
     analytic_bound: int
-    certificates: tuple[OplusCounterexample, ...]  # one per refuted n, ascending
+    certificate: Optional[OplusCounterexample]  # refutes lower_bound - 1; None at 0
+
+    @property
+    def certificates(self) -> tuple[OplusCounterexample, ...]:
+        """One per refuted n, ascending, each the one certificate at its n."""
+        return tuple(replace(self.certificate, agreement=n) for n in range(self.lower_bound))
 
 
 def analytic_f_bound(t: Template, s: int) -> int:
@@ -334,32 +339,26 @@ def analytic_f_bound(t: Template, s: int) -> int:
 
 def F_estimate(t: Template, s: int, budget=None) -> FEstimate:
     """Least n at which the agreement test finds no counterexample, with a
-    certificate for every smaller n.  When a node bound stops the test at
-    n, F lies between n and the analytic bound (sound on a valid template)
-    and exact is False.  The walk ends by predicate_count(t, prefix) + 1,
-    where only complete levels are left from the coverage level on.
-
-    The test depends on n only through its coverage level lc and the window
-    start clamped at 0, so n is walked in runs: every n of level lc whose
-    start is <= 0 (n <= predicate_count(t, lc + 1) - level_size(lc) + 1)
-    is one run, and each later start is a run of one n.  A run takes one
-    _agreement_scan and one certificate, which each of its n repeats with
-    its own agreement, equal to oplus_test(t, s, n).counterexample.
-    budget is accepted and ignored (bench/ passes an oracle.SearchBudget)."""
+    certificate for every smaller n.  Refutation is closed downward in n,
+    so n = 0, 1, 3, 7, ... is scanned until a scan finds nothing, then the
+    gap is bisected; predicate_count(t, prefix) + 1 is never refuted, as
+    only complete levels follow.  When a node bound stopped the check at
+    the result n, F lies between n and the analytic bound (sound on a valid
+    template) and exact is False.  budget is accepted and ignored."""
     if s < 1:
         raise InputError(f"count must be >= 1, got {s}")
-    bound = analytic_f_bound(t, s)
-    certs = []
-    n = 0
-    while True:
-        last = n - min(_window_start(t, n, coverage_level(t, n)), 0)  # the run's last n, at start 0
-        found, proven = _agreement_scan(t, n, s)
+    lo, hi = 0, predicate_count(t, t.prefix_len) + 1  # every n < lo is refuted, hi is not
+    failed, proven = None, INFINITE  # the scan's failure at lo - 1, and what it proved at hi
+    while lo < hi:
+        n = min(max(2 * lo - 1, 0), (lo + hi) // 2)  # 0, 1, 3, 7, ... until the midpoint is lower
+        found, at_n = _agreement_scan(t, n, s)
         if found is None:
-            exact = proven == INFINITE
-            return FEstimate(s, n, n if exact else bound, exact, bound, tuple(certs))
-        cert = _certificate(t, s, n, *found)
-        certs += [OplusCounterexample(cert.consistent_family, cert.inconsistent_family, m) for m in range(n, last + 1)]
-        n = last + 1
+            hi, proven = n, at_n
+        else:
+            lo, failed = n + 1, found
+    bound, exact = analytic_f_bound(t, s), proven == INFINITE
+    cert = _certificate(t, s, lo - 1, *failed) if failed else None
+    return FEstimate(s, lo, lo if exact else bound, exact, bound, cert)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from hypertemplate.hypergraph import Hypergraph, random_hypergraph
 from hypertemplate.oracle import naive_oplus_test
 from hypertemplate.signature import (
     F_estimate,
-    FEstimate,
     G_estimate,
     OplusResult,
     analytic_f_bound,
@@ -64,15 +63,12 @@ def assert_replays(t, ce, n):
 
 
 def walked_F(t, s):
-    """F_estimate by its definition: oplus_test at n = 0, 1, 2, ... up to the
-    first n it does not refute, keeping each refutation's counterexample."""
-    bound = analytic_f_bound(t, s)
-    certs = []
+    """F_estimate's (lower_bound, upper_bound, exact) by its definition:
+    oplus_test at n = 0, 1, 2, ... up to the first n it does not refute."""
     for n in count():
         res = oplus_test(t, s, n)
         if res.counterexample is None:
-            return FEstimate(s, n, n if res.exhaustive else bound, res.exhaustive, bound, tuple(certs))
-        certs.append(res.counterexample)
+            return n, n if res.exhaustive else analytic_f_bound(t, s), res.exhaustive
 
 
 def non_complete_random_templates(count_wanted, seed):
@@ -200,33 +196,49 @@ class TestAgreementLevels:
             assert [pt.stems for pt in ce.inconsistent_family] == [((0,),), ((1,),)]
             assert_replays(t, ce, 0)
 
-    @pytest.mark.parametrize("bound", [None, 30, 8])
-    def test_F_runs_equal_the_walk_of_every_n(self, bound, monkeypatch):
-        # F scans once per run of n that shares a coverage level and a
-        # window start clamped at 0; bounds, exactness and every
-        # certificate equal a walk that runs the test at each n, also
-        # where a node bound stops checks (at 30 and 8 some F are inexact)
-        if bound is not None:
-            monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
-        inexact = 0
-        for t in non_complete_random_templates(150, 27):
-            for s in (1, 2, 3):
-                F = F_estimate(t, s)
-                assert F == walked_F(t, s)
-                inexact += not F.exact
-        assert (inexact > 0) == (bound is not None)
+    def test_F_search_equals_the_walk_of_every_n(self, monkeypatch):
+        # F searches n by doubling and bisection and keeps one certificate;
+        # at the default node bound it equals a walk that runs the test at
+        # each n, and every certificate replays at its agreement.  At node
+        # bounds 30 and 8, which stop some checks, it stays sound against
+        # the unbounded F, and the test refutes every n below its lower bound
+        def draws():
+            return enumerate(non_complete_random_templates(150, 27))
 
-    def test_F_scans_once_per_run(self):
+        unbounded = {}
+        for i, t in draws():
+            for s in (1, 2, 3):
+                F = unbounded[i, s] = F_estimate(t, s)
+                assert (F.lower_bound, F.upper_bound, F.exact) == walked_F(t, s)
+                assert len(F.certificates) == F.lower_bound
+                for ce in F.certificates:
+                    assert_replays(t, ce, ce.agreement)
+        for bound in (30, 8):
+            monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
+            inexact = 0
+            for i, t in draws():
+                for s in (1, 2, 3):
+                    F, exact_F = F_estimate(t, s), unbounded[i, s]
+                    assert F.lower_bound <= exact_F.lower_bound
+                    if F.exact:
+                        assert F == exact_F
+                    if F.lower_bound:
+                        assert oplus_test(t, s, F.lower_bound - 1).counterexample is not None
+                    inexact += not F.exact
+            assert inexact > 0
+
+    def test_F_takes_logarithmically_many_scans(self):
         # two edgeless 30-vertex levels: F(2) = 930 = 30 + 30 * 30, refuted
-        # at every smaller n.  Per coverage level, the n with window start
-        # <= 0 share one scan and each start 1..29 takes its own: 2 * 30
-        # scans, where a walk of every n makes 931
+        # at every smaller n.  Doubling to 511 and bisecting up to 930 take
+        # at most 20 scans, about 2 log2(931); a scan per window start of
+        # each coverage level would take 60
         t = Template(2, [(Hypergraph(2, 30), 1), (Hypergraph(2, 30), 1)], TailPolicy("complete_growing", 1))
         with mock.patch.object(signature, "_agreement_scan", wraps=signature._agreement_scan) as scan:
             F = F_estimate(t, 2)
-        assert scan.call_count == 60
+        assert scan.call_count <= 20
         assert F.exact and F.lower_bound == F.upper_bound == len(F.certificates) == 930
         assert [ce.agreement for ce in F.certificates] == list(range(930))
+        assert_replays(t, F.certificate, 929)
 
     def test_returns_without_drawing_when_no_level_can_fail(self):
         # level 0 is complete; on level 1 (no edges) a vertex's witness mask

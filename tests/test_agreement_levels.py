@@ -196,36 +196,33 @@ class TestAgreementLevels:
             assert [pt.stems for pt in ce.inconsistent_family] == [((0,),), ((1,),)]
             assert_replays(t, ce, 0)
 
-    def test_F_search_equals_the_walk_of_every_n(self, monkeypatch):
+    @pytest.mark.parametrize("bound", [None, 30, 8])
+    def test_F_runs_equal_the_walk_of_every_n(self, bound, monkeypatch):
         # F searches n by doubling and bisection and keeps one certificate;
         # at the default node bound it equals a walk that runs the test at
         # each n, and every certificate replays at its agreement.  At node
         # bounds 30 and 8, which stop some checks, it stays sound against
         # the unbounded F, and the test refutes every n below its lower bound
-        def draws():
-            return enumerate(non_complete_random_templates(150, 27))
-
-        unbounded = {}
-        for i, t in draws():
+        inexact = 0
+        for t in non_complete_random_templates(150, 27):
             for s in (1, 2, 3):
-                F = unbounded[i, s] = F_estimate(t, s)
-                assert (F.lower_bound, F.upper_bound, F.exact) == walked_F(t, s)
-                assert len(F.certificates) == F.lower_bound
-                for ce in F.certificates:
-                    assert_replays(t, ce, ce.agreement)
-        for bound in (30, 8):
-            monkeypatch.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
-            inexact = 0
-            for i, t in draws():
-                for s in (1, 2, 3):
-                    F, exact_F = F_estimate(t, s), unbounded[i, s]
-                    assert F.lower_bound <= exact_F.lower_bound
-                    if F.exact:
-                        assert F == exact_F
+                exact_F = F_estimate(t, s)
+                if bound is None:
+                    assert (exact_F.lower_bound, exact_F.upper_bound, exact_F.exact) == walked_F(t, s)
+                    assert len(exact_F.certificates) == exact_F.lower_bound
+                    for ce in exact_F.certificates:
+                        assert_replays(t, ce, ce.agreement)
+                    continue
+                with monkeypatch.context() as m:
+                    m.setattr(hypergraph, "COVER_SEARCH_NODES", bound)
+                    F = F_estimate(t, s)
                     if F.lower_bound:
                         assert oplus_test(t, s, F.lower_bound - 1).counterexample is not None
-                    inexact += not F.exact
-            assert inexact > 0
+                assert F.lower_bound <= exact_F.lower_bound
+                if F.exact:
+                    assert F == exact_F
+                inexact += not F.exact
+        assert (inexact > 0) == (bound is not None)
 
     def test_F_takes_logarithmically_many_scans(self):
         # two edgeless 30-vertex levels: F(2) = 930 = 30 + 30 * 30, refuted

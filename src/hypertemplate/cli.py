@@ -26,7 +26,6 @@ from .signature import (
     analytic_g_table,
     f_signature,
     oplus_test,
-    predicate_count,
 )
 from .template import complete_template, random_template, validate
 from .theory import amalgamate, build_random_model, check_model, close_existentially
@@ -35,8 +34,8 @@ from .typecheck import decide_positive_type, transfer_check
 OK, NEGATIVE, INPUT_ERROR, INDETERMINATE, INTERNAL = 0, 1, 2, 3, 4
 
 
-def _report(verb: str, seed, pairs) -> str:
-    out = ["hgt-report 1", f"verb {verb}", f"seed {seed}"]
+def _report(args, pairs) -> str:
+    out = ["hgt-report 1", f"verb {args.verb}", f"seed {args.seed}"]
     out.extend(f"{k} {v}" for k, v in pairs)
     return "\n".join(out) + "\n"
 
@@ -77,9 +76,7 @@ def cmd_gen_template(args) -> int:
         t = random_template(args.arity, sizes, args.edge_prob, target, args.seed)
     _emit(args, ser.dump_template(t))
     if args.out:
-        sys.stdout.write(
-            _report("gen-template", args.seed, [("prefix", t.prefix_len), ("result", "ok")])
-        )
+        sys.stdout.write(_report(args, [("prefix", t.prefix_len), ("result", "ok")]))
     return OK
 
 
@@ -90,7 +87,7 @@ def cmd_validate_template(args) -> int:
     for p in rep.problems:
         pairs.append(("problem", f"level {p.level} extension: {p.message}"))
     pairs.append(("result", "valid" if rep.valid else "invalid"))
-    _emit(args, _report("validate-template", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     if not rep.valid:
         return NEGATIVE
     return OK if rep.exhaustive else INDETERMINATE
@@ -113,7 +110,7 @@ def cmd_decide_type(args) -> int:
     else:
         pairs.append(("failing-level", dec.failing_level))
     pairs.append(("result", "consistent" if dec.consistent else "inconsistent"))
-    _emit(args, _report("decide-type", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     return OK if dec.consistent else NEGATIVE
 
 
@@ -125,7 +122,7 @@ def cmd_check_model(args) -> int:
     for v in violations:
         pairs.append(("violation", f"{v.kind}: {v.detail}"))
     pairs.append(("result", "valid" if not violations else "invalid"))
-    _emit(args, _report("check-model", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     return OK if not violations else NEGATIVE
 
 
@@ -141,13 +138,7 @@ def cmd_close_model(args) -> int:
     model = ser.load_model(_read(args.model))
     res = close_existentially(t, args.level, model, args.param_bound, args.budget)
     _emit(args, ser.dump_model(res.model))
-    sys.stderr.write(
-        _report(
-            "close-model",
-            args.seed,
-            [("added", res.added), ("fixpoint", str(res.reached_fixpoint).lower())],
-        )
-    )
+    sys.stderr.write(_report(args, [("added", res.added), ("fixpoint", str(res.reached_fixpoint).lower())]))
     return OK if res.reached_fixpoint else INDETERMINATE
 
 
@@ -180,7 +171,7 @@ def cmd_qe_transfer(args) -> int:
         ext = " ".join(str(leaf[-1]) for leaf in c.extension)
         pairs.append(("counterexample", f"edges {edges} extension {ext}"))
     pairs.append(("result", "holds" if rep.holds else "fails"))
-    _emit(args, _report("qe-transfer", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     if not rep.holds:
         return NEGATIVE
     return OK if rep.exhaustive else INDETERMINATE
@@ -198,7 +189,7 @@ def cmd_signature(args) -> int:
         ("values", " ".join(map(str, sig.values))),
         ("result", "ok"),
     ]
-    _emit(args, _report("signature", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     return OK
 
 
@@ -229,7 +220,7 @@ def cmd_estimate_fg(args) -> int:
     if args.F is None and args.G is None:
         raise InputError("pass --F and/or --G")
     pairs.append(("result", "exact" if exact else "budget-relative"))
-    _emit(args, _report("estimate-fg", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     return OK if exact else INDETERMINATE
 
 
@@ -242,7 +233,7 @@ def cmd_oplus(args) -> int:
         ("exhaustive", str(res.exhaustive).lower()),
         ("result", "holds" if res.counterexample is None else "counterexample"),
     ]
-    _emit(args, _report("oplus", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     if res.counterexample is not None:
         return NEGATIVE
     return OK if res.exhaustive else INDETERMINATE
@@ -250,8 +241,9 @@ def cmd_oplus(args) -> int:
 
 def cmd_simulate_saturation(args) -> int:
     sc = ser.load_scenario(_read(args.scenario))
-    n_max = max(1 + predicate_count(sc.template, max(sc.depths)), max(sc.depths) + 1)
-    g_table = analytic_g_table(sc.template, n_max)
+    # first_difference caps agreement at the index depth, so no lookup passes
+    # it; depths below 1 reach build_distribution, which rejects them
+    g_table = analytic_g_table(sc.template, max(0, *sc.depths))
     dist = build_distribution(sc, g_table, args.seed)
     if not isinstance(dist, Distribution):
         pairs = [
@@ -261,7 +253,7 @@ def cmd_simulate_saturation(args) -> int:
             ("bounds", " ".join(map(str, dist.bounds))),
             ("result", "infeasible"),
         ]
-        _emit(args, _report("simulate-saturation", args.seed, pairs))
+        _emit(args, _report(args, pairs))
         return NEGATIVE
     rep = verify_realization(sc, dist)
     pairs = [("instances", len(sc.instances)), ("indices", len(sc.depths))]
@@ -273,7 +265,7 @@ def cmd_simulate_saturation(args) -> int:
         )
     pairs.append(("failures", len(rep.failures)))
     pairs.append(("result", "realized" if rep.fully_realized else "failed"))
-    _emit(args, _report("simulate-saturation", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     return OK if rep.fully_realized else NEGATIVE
 
 
@@ -289,7 +281,7 @@ def cmd_oracle(args) -> int:
         ("agree", str(agree).lower()),
         ("result", "agree" if agree else "disagree"),
     ]
-    _emit(args, _report("oracle", args.seed, pairs))
+    _emit(args, _report(args, pairs))
     if not agree:
         raise InternalConsistencyError("decide-type and the brute-force oracle disagree")
     return OK if dec.consistent else NEGATIVE
@@ -311,102 +303,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=None)
+    def verb(name, func, help, *positional):
+        sp = sub.add_parser(name, help=help)
+        for arg in positional:
+            sp.add_argument(arg)
+        sp.set_defaults(func=func)
+        return sp
 
-    sp = sub.add_parser("gen-template", help="generate a template file")
+    sp = verb("gen-template", cmd_gen_template, "generate a template file")
     sp.add_argument("--arity", type=int, required=True)
     sp.add_argument("--complete", action="store_true", help="complete template")
     sp.add_argument("--prefix", type=int, default=4, help="prefix depth for --complete")
     sp.add_argument("--sizes", default="", help="comma-separated level sizes")
     sp.add_argument("--edge-prob", type=float, default=0.9)
     sp.add_argument("--target-f", default="", help="comma-separated extension arities")
-    common(sp)
-    sp.set_defaults(func=cmd_gen_template)
 
-    sp = sub.add_parser("validate-template", help="check template axioms to a depth")
-    sp.add_argument("template")
+    sp = verb("validate-template", cmd_validate_template, "check template axioms to a depth", "template")
     sp.add_argument("--depth", type=int, default=4)
-    common(sp)
-    sp.set_defaults(func=cmd_validate_template)
 
-    sp = sub.add_parser("decide-type", help="positive-type consistency")
-    sp.add_argument("template")
-    sp.add_argument("typespec")
+    sp = verb("decide-type", cmd_decide_type, "positive-type consistency", "template", "typespec")
     sp.add_argument("--depth", type=int, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_decide_type)
 
-    sp = sub.add_parser("check-model", help="validate a finite model")
-    sp.add_argument("template")
-    sp.add_argument("model")
-    common(sp)
-    sp.set_defaults(func=cmd_check_model)
+    verb("check-model", cmd_check_model, "validate a finite model", "template", "model")
 
-    sp = sub.add_parser("build-model", help="random valid model")
-    sp.add_argument("template")
+    sp = verb("build-model", cmd_build_model, "random valid model", "template")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--count-per-leaf", type=int, default=1)
     sp.add_argument("--edge-prob", type=float, default=0.5)
-    common(sp)
-    sp.set_defaults(func=cmd_build_model)
 
-    sp = sub.add_parser("close-model", help="bounded existential closure")
-    sp.add_argument("template")
-    sp.add_argument("model")
+    sp = verb("close-model", cmd_close_model, "bounded existential closure", "template", "model")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--param-bound", type=int, default=1)
     sp.add_argument("--budget", type=int, default=50)
-    common(sp)
-    sp.set_defaults(func=cmd_close_model)
 
-    sp = sub.add_parser("amalgamate", help="union over a shared base model")
-    sp.add_argument("template")
-    sp.add_argument("base")
-    sp.add_argument("left")
-    sp.add_argument("right")
-    common(sp)
-    sp.set_defaults(func=cmd_amalgamate)
+    verb("amalgamate", cmd_amalgamate, "union over a shared base model", "template", "base", "left", "right")
 
-    sp = sub.add_parser("qe-transfer", help="level-transfer experiment")
-    sp.add_argument("template")
+    sp = verb("qe-transfer", cmd_qe_transfer, "level-transfer experiment", "template")
     sp.add_argument("--m", type=int, default=2)
-    common(sp)
-    sp.set_defaults(func=cmd_qe_transfer)
 
-    sp = sub.add_parser("signature", help="signature of a parameter type")
-    sp.add_argument("template")
-    sp.add_argument("typespec")
+    sp = verb("signature", cmd_signature, "signature of a parameter type", "template", "typespec")
     sp.add_argument("--depth", type=int, default=2)
-    common(sp)
-    sp.set_defaults(func=cmd_signature)
 
-    sp = sub.add_parser("estimate-fg", help="agreement-depth and capacity estimates")
-    sp.add_argument("template")
+    sp = verb("estimate-fg", cmd_estimate_fg, "agreement-depth and capacity estimates", "template")
     sp.add_argument("--F", type=int, default=None, metavar="S")
     sp.add_argument("--G", type=int, default=None, metavar="N")
-    common(sp)
-    sp.set_defaults(func=cmd_estimate_fg)
 
-    sp = sub.add_parser("oplus", help="one agreement test")
-    sp.add_argument("template")
+    sp = verb("oplus", cmd_oplus, "one agreement test", "template")
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_oplus)
 
-    sp = sub.add_parser("simulate-saturation", help="distribute and realize a scenario")
-    sp.add_argument("scenario")
-    common(sp)
-    sp.set_defaults(func=cmd_simulate_saturation)
+    verb("simulate-saturation", cmd_simulate_saturation, "distribute and realize a scenario", "scenario")
 
-    sp = sub.add_parser("oracle", help="cross-check decide-type against brute force")
-    sp.add_argument("template")
-    sp.add_argument("typespec")
+    sp = verb("oracle", cmd_oracle, "cross-check decide-type against brute force", "template", "typespec")
     sp.add_argument("--depth", type=int, default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_oracle)
+
+    for sp in sub.choices.values():  # added last, so --help lists them after the verb's own
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--out", default=None)
 
     return p
 

@@ -217,6 +217,18 @@ def first_difference(t: Template, a: ParamType, b: ParamType, depth: int) -> int
 
 Family = tuple[ParamType, ...]
 
+# The largest agreement count oplus_test, F_estimate and analytic_f_bound
+# accept.  A count pads each certificate family to that many types and sets
+# the stabilization depth analytic_f_bound counts predicates to: on
+# complete_template(2, 1) the bound has 2,565 digits at 1,000, and passes
+# Python's 4,300-digit limit for printing an int at 1,560.
+MAX_COUNT = 1000
+
+
+def _check_count_bound(s: int) -> None:
+    if s > MAX_COUNT:
+        raise InputError(f"count must be <= {MAX_COUNT}, got {s}")
+
 
 @dataclass(frozen=True)
 class OplusCounterexample:
@@ -268,6 +280,7 @@ def oplus_test(t: Template, s: int, n: int) -> OplusResult:
     certificate is built from the smallest failing list (see _certificate)."""
     if s < 1 or n < 0:
         raise InputError("need s >= 1 and n >= 0")
+    _check_count_bound(s)
     found, proven = _agreement_scan(t, n, s)
     if found is None:
         return OplusResult(s, n, proven == INFINITE, None)
@@ -334,6 +347,7 @@ class FEstimate:
 def analytic_f_bound(t: Template, s: int) -> int:
     """Signature indices through the stabilization level for s instances
     suffice for agreement to preserve consistency."""
+    _check_count_bound(s)
     return predicate_count(t, t.stabilization_level(s)) + 1
 
 
@@ -347,6 +361,7 @@ def F_estimate(t: Template, s: int, budget=None) -> FEstimate:
     template) and exact is False.  budget is accepted and ignored."""
     if s < 1:
         raise InputError(f"count must be >= 1, got {s}")
+    _check_count_bound(s)
     lo, hi = 0, predicate_count(t, t.prefix_len) + 1  # every n < lo is refuted, hi is not
     failed, proven = None, INFINITE  # the scan's failure at lo - 1, and what it proved at hi
     while lo < hi:

@@ -1,9 +1,12 @@
+from dataclasses import replace
 from math import inf
 from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypertemplate import serialization as ser
+from hypertemplate.cli import run
 from hypertemplate.errors import InputError
 from hypertemplate.hypergraph import Hypergraph
 from hypertemplate.template import TailPolicy, Template, complete_template
@@ -68,6 +71,38 @@ def g_table_for(sc):
     return analytic_g_table(sc.template, n_max)
 
 
+def _limits(sc, limits):
+    return replace(sc, instances=tuple(replace(i, limit=l) for i, l in zip(sc.instances, limits)))
+
+
+_SC = complete_scenario()  # k = 2, depths (2, 3), limit stems of length 3
+_FIRST, _SECOND = _SC.instances
+# fault: (scenario, message, whether load_scenario lets it reach the verb)
+SCENARIO_FAULTS = {
+    "no index": (replace(_SC, depths=(), instances=()), "scenario needs at least one index", False),
+    "one tuple for two indices": (
+        replace(_SC, instances=(replace(_FIRST, per_index=_FIRST.per_index[:1]), _SECOND)),
+        "instance 0 must carry one tuple per index",
+        False,
+    ),
+    "limits of two lengths": (
+        _limits(_SC, [_FIRST.limit, ParamType(stems=(_SECOND.limit.stems[0] + (0,),))]),
+        "limit tuples must share a common stem length",
+        True,
+    ),
+    "limits short of the deepest index": (
+        _limits(_SC, [ParamType(stems=(i.limit.stems[0][:2],)) for i in _SC.instances]),
+        "limit stems must reach every index depth",
+        True,
+    ),
+    "limits apart at the bottleneck level": (
+        _limits(bottleneck_scenario(2)[1], [ParamType(stems=((a, 0),)) for a in range(2)]),
+        "the limit family is not consistent",
+        True,
+    ),
+}
+
+
 class TestValidation:
     def test_complete_scenario_valid(self):
         validate_scenario(complete_scenario())
@@ -86,6 +121,19 @@ class TestValidation:
         )
         with pytest.raises(InputError):
             validate_scenario(bad)
+
+    @pytest.mark.parametrize("fault", sorted(SCENARIO_FAULTS))
+    def test_fault_message(self, fault, tmp_path, capsys):
+        sc, message, through_verb = SCENARIO_FAULTS[fault]
+        for call in (lambda: validate_scenario(sc), lambda: build_distribution(sc, [inf] * 8, 0)):
+            with pytest.raises(InputError) as err:
+                call()
+            assert str(err.value) == message
+        if through_verb:
+            p = tmp_path / "s.hgs"
+            p.write_text(ser.dump_scenario(sc))
+            assert run(["simulate-saturation", str(p)]) == 2
+            assert capsys.readouterr() == ("", f"input error: {message}\n")
 
 
 class TestAgreementLevel:

@@ -8,6 +8,7 @@ from hypertemplate.hypergraph import Hypergraph, complete_hypergraph
 from hypertemplate.template import TailPolicy, Template, complete_template, random_template, validate
 from hypertemplate.oracle import SearchBudget
 from hypertemplate.signature import (
+    MAX_COUNT,
     F_estimate,
     G_estimate,
     ParamType,
@@ -310,3 +311,29 @@ class TestMStarInteraction:
         t = bottleneck_template()
         s = 2
         assert analytic_f_bound(t, s) == predicate_count(t, m_star(t, s)) + 1
+
+
+class TestCountBound:
+    # an edgeless k = 2 level: every agreement count has a counterexample,
+    # so oplus_test builds a certificate padded to s types
+    EDGELESS = Template(2, [(Hypergraph(2, 120), 1), (Hypergraph(2, 120), 1)], TailPolicy("complete_growing", 1))
+
+    CALLS = {
+        "oplus_test": lambda t, s: oplus_test(t, s, 5),
+        "F_estimate": F_estimate,
+        "analytic_f_bound": analytic_f_bound,
+    }
+
+    @pytest.mark.parametrize("template", [complete_template(2, 1), bottleneck_template(), EDGELESS])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_accepts_the_bound_and_rejects_one_more(self, call, template):
+        assert MAX_COUNT == 1000
+        self.CALLS[call](template, MAX_COUNT)
+        with pytest.raises(InputError) as err:
+            self.CALLS[call](template, MAX_COUNT + 1)
+        assert str(err.value) == "count must be <= 1000, got 1001"
+
+    def test_steepest_bound_prints(self):
+        # complete_template(2, 1) grows its analytic bound fastest; at the
+        # bound it stays under Python's 4,300-digit limit for str(int)
+        assert len(str(analytic_f_bound(complete_template(2, 1), MAX_COUNT))) == 2565

@@ -175,6 +175,34 @@ class TestAmalgamate:
         with pytest.raises(InputError):
             amalgamate(t, m0, m1, m1, (0,), (0,))
 
+    # M0 embeds into M1 by (0, 2); element 1 of M1 also carries leaf (0, 1),
+    # but shares an edge with element 0 that M0 lacks
+    M0 = FiniteModel(2, 2, [(0, 0), (0, 1)], set())
+    M1 = FiniteModel(2, 2, [(0, 0), (0, 1), (0, 1)], {frozenset({0, 1})})
+    EMBEDDING_FAULTS = {
+        "too short": ((0,), "into1: embedding must map every element of M0"),
+        "not injective": ((0, 0), "into1: embedding is not injective"),
+        "past the target": ((0, 3), "into1: image 3 outside the target model"),
+        "loses an edge": ((0, 1), "into1: edge on [0, 1] not preserved"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(EMBEDDING_FAULTS))
+    def test_embedding_fault_message(self, fault):
+        into1, message = self.EMBEDDING_FAULTS[fault]
+        t = size2_template()
+        assert len(amalgamate(t, self.M0, self.M1, self.M1, (0, 2), (0, 2))) == 4
+        with pytest.raises(InputError) as err:
+            amalgamate(t, self.M0, self.M1, self.M1, into1, (0, 2))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("other", [FiniteModel(3, 2, [], set()), FiniteModel(2, 1, [], set())])
+    def test_models_of_another_arity_or_level_rejected(self, other):
+        m = FiniteModel(2, 2, [], set())
+        for models in ((other, m, m), (m, other, m), (m, m, other)):
+            with pytest.raises(InputError) as err:
+                amalgamate(size2_template(), *models)
+            assert str(err.value) == "models must share arity and level"
+
 
 class TestBuildRandomModel:
     def test_edge_prob_zero_edgeless(self):

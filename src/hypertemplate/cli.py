@@ -241,9 +241,9 @@ def cmd_oplus(args) -> int:
 
 def cmd_simulate_saturation(args) -> int:
     sc = ser.load_scenario(_read(args.scenario))
-    # first_difference caps agreement at the index depth, so no lookup passes
-    # it; depths below 1 reach build_distribution, which rejects them
-    g_table = analytic_g_table(sc.template, max(0, *sc.depths))
+    # lookups stop at the index depth, where first_difference caps agreement,
+    # and with no instance there are none; build_distribution rejects depths < 1
+    g_table = analytic_g_table(sc.template, max(0, *sc.depths) if sc.instances else 0)
     dist = build_distribution(sc, g_table, args.seed)
     if not isinstance(dist, Distribution):
         pairs = [

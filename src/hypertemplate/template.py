@@ -4,7 +4,8 @@ An infinite template is represented by a finite stored prefix plus a tail
 policy whose levels are complete hypergraphs of growing size.  Complete
 levels satisfy the extension property for every t up to their size, and
 their declared arities grow without bound, so the finite representation
-keeps all the guarantees of the infinite object.
+keeps all the guarantees of the infinite object.  The decision procedures
+read tail levels as complete; only Template.level builds one, for oracles.
 """
 
 from __future__ import annotations
@@ -127,20 +128,13 @@ class Template:
         return self.level_size(n)
 
     def level(self, n: int) -> tuple[Hypergraph, int]:
-        """(hypergraph, f) at level n; tail levels are complete."""
+        """(hypergraph, f) at level n; a tail level is complete, built (and cached) here alone."""
         if 0 <= n < len(self.levels):
             return self.levels[n]
         return _complete_cached(self.arity, self.level_size(n)), self.f_value(n)
 
     def level_hypergraph(self, n: int) -> Hypergraph:
         return self.level(n)[0]
-
-    def _level_graphs(self, depth: int) -> tuple[Hypergraph, ...]:
-        """Hypergraphs of levels 0..depth-1; tail levels are complete."""
-        graphs = self._graphs
-        if depth <= len(graphs):
-            return graphs[:depth]
-        return graphs + tuple(self.level_hypergraph(n) for n in range(len(graphs), depth))
 
     # -- analysis ----------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Elements carry their length-m leaf stem directly, so the refinement and
 partition axioms for the unary predicates hold by construction; the only
 thing left to police is the edge relation.  An edge is forbidden exactly
-when the leaves of its endpoints fail to form an edge at some level.
+when the leaves of its endpoints fail to form an edge at some stored level.
 """
 
 from __future__ import annotations
@@ -87,12 +87,10 @@ def check_model(t: Template, model: FiniteModel) -> tuple[Violation, ...]:
     found = [  # (sorted vertex list, violation)
         (idx, Violation("edge_shape", f"edge {idx} is not a {t.arity}-subset of elements")) for idx in map(sorted, bad)
     ]
-    graphs = None
+    graphs = t._graphs[: model.level]
     for e in model.edges.difference(bad):
         if not malformed.isdisjoint(e):
             continue
-        if graphs is None:
-            graphs = t._level_graphs(model.level)
         for n, ok in enumerate(map(Hypergraph._has, graphs, zip(*map(model.leaves.__getitem__, e)))):
             if not ok:
                 idx = sorted(e)
@@ -177,7 +175,7 @@ def build_random_model(
     rng = Random(seed)
     stems = all_level_stems(t, m)
     leaves = [s for s in stems for _ in range(count_per_leaf)]
-    graphs = t._level_graphs(m)
+    graphs = t._graphs[:m]
     allowed: dict[tuple[int, ...], bool] = {}  # per tuple of stem indices
     edges: set[frozenset[int]] = set()
     owner = [j for j in range(len(stems)) for _ in range(count_per_leaf)]  # stem index per element
@@ -237,7 +235,7 @@ def close_existentially(
     if bad:
         raise InputError(f"edge {min(map(sorted, bad))} is not a {k}-subset of elements")
     stems = all_level_stems(t, m)
-    graphs = t._level_graphs(m)
+    graphs = t._graphs[:m]
     added = 0
     while True:
         frozen_count = len(leaves)

@@ -8,14 +8,15 @@ edges and else takes the least witness, so every leaf-valued result is
 deterministic, and its callers stop it where the stems end, since past
 them vertex 0 is always a witness.  Public functions check their stems
 once, on entry; past that check they look edges up through the template's
-level tuples and the hypergraphs' unchecked helpers, which trust their
-callers.
+stored level tuples and the hypergraphs' unchecked helpers, which trust
+their callers.  A level past the stored prefix is read as complete, every
+tuple an edge, and never built: only Template.level builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import lt
 from typing import Optional, Sequence
 
@@ -52,7 +53,7 @@ def einfty_prefix(t: Template, stems: Sequence[Sequence[int]]) -> bool:
         raise InputError("stems must share a common length")
     for s in stems:
         require_in_tree(t, s)
-    return all(map(Hypergraph._has, t._level_graphs(length), zip(*stems)))
+    return all(map(Hypergraph._has, t._graphs[:length], zip(*stems)))
 
 
 def complete_to_leaf(
@@ -68,7 +69,7 @@ def complete_to_leaf(
     hypothesis that nu already forms the edges on its own length is checked
     up front; with m >= 1 constraints nu must reach past the level where
     the template's arities stabilize at m.  Extension is deterministic:
-    each appended coordinate is the least witness.
+    each appended coordinate is the least witness, 0 on the complete tail.
     """
     nu = require_in_tree(t, nu, "nu")
     if target_len < len(nu):
@@ -89,11 +90,11 @@ def complete_to_leaf(
         )
     if not rows:
         return nu + (0,) * (target_len - len(nu))
-    graphs = t._level_graphs(target_len)
+    graphs = t._graphs[:target_len]
     dec = _scan_levels(graphs, rows, nu)
     n = dec.failing_level
     if n is None:
-        return dec.witness
+        return dec.witness + (0,) * (target_len - len(dec.witness))
     if n < len(nu):
         for i, stems in enumerate(rows):
             if not graphs[n]._has((nu[n],) + tuple(s[n] for s in stems)):
@@ -119,7 +120,8 @@ def _scan_levels(graphs: Sequence[Hypergraph], rows: Sequence, x: Stem = ()) -> 
     forms an edge with each row's tuple (rows: at least one, of k-1 in-tree
     stems, padded with 0) and past x takes the least witness.  Past x and
     the stems each tuple repeats vertex 0 (or is (0,) when k = 2), so 0 is
-    the witness: callers stop there and pad the witness with 0."""
+    the witness: callers stop there and pad the witness with 0.  Past the
+    given (stored) graphs every level is complete: the rest of x is kept."""
     depth = len(graphs)
     # stems padded canonically with least vertices, then the tuples of each level
     levels = zip(*(zip(*(s + (0,) * (depth - len(s)) for s in stems)) for stems in rows))
@@ -136,7 +138,7 @@ def _scan_levels(graphs: Sequence[Hypergraph], rows: Sequence, x: Stem = ()) -> 
             if w is None:
                 return TypeDecision(False, None, failing_level=n)
             out.append(w)
-    return TypeDecision(True, tuple(out))
+    return TypeDecision(True, tuple(out) + x[len(graphs):])
 
 
 def extend_canonically(t: Template, stem: Sequence[int], target_len: int) -> Stem:
@@ -154,15 +156,14 @@ def enumerate_edge_partners(t: Template, rho: Sequence[int], depth: int) -> int:
     The finite-depth surrogate of "each leaf lies in continuum many edges".
     Levels are independent, so this is a product over the levels n below
     depth: of the H_n^(k-1) tuples at level n, only the (k-1)! orderings of
-    each (k-1)-set avoiding rho[n] that forms no uniform edge with it fail.
-    oracle.naive_edge_partners enumerates the tuples instead."""
+    each (k-1)-set avoiding rho[n] that forms no uniform edge with it fail
+    (none on the complete tail).  oracle.naive_edge_partners enumerates them."""
     rho = require_in_tree(t, rho, "rho")
     if depth < 0 or depth > len(rho):
         raise InputError(f"depth must lie in 0..{len(rho)}")
     width = t.arity - 1
     count = 1
-    for n in range(depth):
-        h = t.level_hypergraph(n)
-        degree = sum(1 for e in h.uniform_edges if rho[n] in e)
+    for h, v in zip(t._graphs[:depth], rho):
+        degree = sum(1 for e in h.uniform_edges if v in e)
         count *= h.size**width - factorial(width) * (comb(h.size - 1, width) - degree)
-    return count
+    return count * prod(t.level_size(n) ** width for n in range(t.prefix_len, depth))

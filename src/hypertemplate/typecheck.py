@@ -5,9 +5,9 @@ The load-bearing observation: the witness search for a new element
 decomposes level by level, because the coordinate chosen at level n is
 constrained only by level-n edges.  That turns positive-type consistency
 into a per-level scan (tree._scan_levels, shared with completion and the
-agreement test, and stopped where x and the stems end, since past them
-vertex 0 is always a witness) instead of a search over whole stems; the
-brute-force stem enumeration in oracle.py confirms the two routes agree.
+agreement test, and stopped where x, the stems or the stored levels end,
+as past them vertex 0 is a witness) instead of a search over whole stems;
+the brute-force stem enumeration in oracle.py confirms the routes agree.
 Level transfer decomposes the same way: it depends on the stabilization
 level alone, where one bounded smallest-cover search decides it (oracle.py
 samples formulas instead).  Each procedure checks its input once, on
@@ -74,10 +74,11 @@ def decide_positive_type(
     Past check_depth the declared arities guarantee witnesses, because
     check_depth must exceed the stabilization level for t constraints; it
     defaults to the least sound depth, the larger of that level + 1 and the
-    stems' common length.  Below it the scan stops where x and the stems
-    end, since past them vertex 0 is always a witness.  Returns the
-    canonical least-per-level witness stem, padded with 0 to check_depth,
-    when consistent; the decision carries check_depth as ``depth``.
+    stems' common length.  Below it the scan stops where x, the stems or
+    the stored levels end, since past them vertex 0 is a witness (past the
+    stored levels, complete, x is kept).  Returns the canonical
+    least-per-level witness stem, padded with 0 to check_depth, when
+    consistent; the decision carries check_depth as ``depth``.
     """
     rows = _validated_params(t, spec)
     needed = max(spec.common_length(), t.stabilization_level(max(1, len(rows))) + 1)
@@ -90,7 +91,7 @@ def decide_positive_type(
         if len(x) > check_depth:
             raise InputError("x_stem longer than check_depth")
     if rows:
-        dec = _scan_levels(t._level_graphs(max(spec.common_length(), len(x))), rows, x)
+        dec = _scan_levels(t._graphs[: max(spec.common_length(), len(x))], rows, x)
         if not dec.consistent:
             return TypeDecision(False, None, dec.failing_level, check_depth)
         x = dec.witness
@@ -171,7 +172,7 @@ def decide_qf_formula(
             return False
     # (iii) demanded edges survive every level below m
     for tup in spec.positive:
-        if not all(map(Hypergraph._has, t._level_graphs(m), zip(x, *(leaves[i] for i in tup)))):
+        if not all(map(Hypergraph._has, t._graphs[:m], zip(x, *(leaves[i] for i in tup)))):
             return False
     return True
 

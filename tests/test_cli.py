@@ -410,16 +410,19 @@ class TestCountBound:
         assert capsys.readouterr() == ("", "input error: count must be <= 1000, got 1001\n")
 
 
-def deep_scenario_text(size, depth):
+def deep_scenario_text(size, depth, instances=1):
     """Two edgeless k = 2 levels of size vertices, one index of the given
-    depth, and one instance whose stems sit at vertex 0: 19 lines."""
-    stem = "s" + " 0" * depth
-    return "\n".join([
+    depth, and one instance whose stems sit at vertex 0 (19 lines), or
+    none (12 lines)."""
+    lines = [
         "hgt-scenario 1", "template-lines 8", "hgt-template 1", "arity 2", "prefix 2",
         f"level 0 size {size} f 1", "edges 0", f"level 1 size {size} f 1", "edges 0",
-        "tail complete_growing 1", f"depths {depth}", "instances 1", "instance", "limit",
-        "eq 0", stem, "at 0", "eq 0", stem,
-    ]) + "\n"
+        "tail complete_growing 1", f"depths {depth}", f"instances {instances}",
+    ]
+    if instances:
+        stem = "s" + " 0" * depth
+        lines += ["instance", "limit", "eq 0", stem, "at 0", "eq 0", stem]
+    return "\n".join(lines) + "\n"
 
 
 def _limit_address_space():
@@ -427,10 +430,11 @@ def _limit_address_space():
 
 
 class TestDeepScenario:
-    """simulate-saturation reads its G table only up to the index depth.
-    A table sized by the predicate count would ask for about 10^9 entries
-    at depth 3 on 1,000-vertex levels, so the verb runs in a child process
-    under a 2 GB address-space limit, where such a table ends in exit 4."""
+    """simulate-saturation reads its G table only up to the index depth,
+    and with no instance not at all.  A table sized by the predicate count
+    would ask for about 10^9 entries at depth 3 on 1,000-vertex levels, so
+    the verb runs in a child process under a 2 GB address-space limit,
+    where such a table ends in exit 4."""
 
     @pytest.mark.parametrize("size, depth", [(1000, 3), (120, 4)])
     def test_realized(self, size, depth, tmp_path):
@@ -442,6 +446,18 @@ class TestDeepScenario:
         )
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.endswith("failures 0\nresult realized\n")
+
+    def test_no_instance_reads_no_table(self, tmp_path):
+        # with no instance nothing is looked up, so an index depth of 10^9
+        # asks for no table of 10^9 entries
+        p = tmp_path / "huge.hgs"
+        p.write_text(deep_scenario_text(3000, 10**9, instances=0))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypertemplate", "simulate-saturation", str(p)],
+            capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=_limit_address_space,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.endswith("index 0 members - consistent true witness -\nfailures 0\nresult realized\n")
 
 
 class TestRemovedSearchFlags:

@@ -76,7 +76,7 @@ class TestAgreementShortcuts:
     def test_scan_matches_checked_path(self, case):
         t, family = case
         depth = max(len(family[0][0]), m_star(t, len(family)) + 1)
-        dec = _scan_levels(t._level_graphs(depth), family)
+        dec = _scan_levels([t.level_hypergraph(l) for l in range(depth)], family)
         assert dec.consistent == family_consistent(t, tuple(ParamType(stems=st) for st in family))
         spec = PositiveTypeSpec(params=family)
         assert dec == decide_positive_type(t, spec, depth)

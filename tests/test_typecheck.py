@@ -219,7 +219,7 @@ class TestDecideQfFormula:
                     if pos and limit:
                         rows = [[leaves[i] for i in tup] for tup in sorted(pos)]
                         depth = max(m, m_star(t, len(rows)) + 1)
-                        assert _scan_levels(t._level_graphs(depth), rows, x).consistent
+                        assert _scan_levels([t.level_hypergraph(l) for l in range(depth)], rows, x).consistent
 
 
 @st.composite
@@ -255,7 +255,7 @@ class TestScanDepth:
     def test_stopped_scan_matches_full_scan(self, case):
         # decide_positive_type scans only as deep as x and the stems reach
         t, spec, depth = case
-        full = _scan_levels(t._level_graphs(depth), spec.params, spec.x_stem or ())
+        full = _scan_levels([t.level_hypergraph(l) for l in range(depth)], spec.params, spec.x_stem or ())
         assert decide_positive_type(t, spec, depth) == full
 
 

@@ -24,8 +24,9 @@ The agreement test, and F and G over it, are decided level by level with
 the extension check's cover search, so "holds" is a proof unless a node
 bound stopped a check; ``oracle.naive_oplus_test`` walks every pair of
 families instead.  Refutation is closed downward in n (families matched
-up to n are matched up to every smaller n), so F is found by doubling
-then bisection, and one counterexample certifies every refuted n.
+up to n are matched up to every smaller n), so F is one bisection over
+the window start of the last level that fails, and one counterexample
+certifies every refuted n.
 """
 
 from __future__ import annotations
@@ -353,27 +354,31 @@ def analytic_f_bound(t: Template, s: int) -> int:
 
 def F_estimate(t: Template, s: int, budget=None) -> FEstimate:
     """Least n at which the agreement test finds no counterexample, with a
-    certificate for every smaller n.  Refutation is closed downward in n,
-    so n = 0, 1, 3, 7, ... is scanned until a scan finds nothing, then the
-    gap is bisected; predicate_count(t, prefix) + 1 is never refuted, as
-    only complete levels follow.  When a node bound stopped the check at
-    the result n, F lies between n and the analytic bound (sound on a valid
-    template) and exact is False.  budget is accepted and ignored."""
-    if s < 1:
-        raise InputError(f"count must be >= 1, got {s}")
-    _check_count_bound(s)
-    lo, hi = 0, predicate_count(t, t.prefix_len) + 1  # every n < lo is refuted, hi is not
-    failed, proven = None, INFINITE  # the scan's failure at lo - 1, and what it proved at hi
-    while lo < hi:
-        n = min(max(2 * lo - 1, 0), (lo + hi) // 2)  # 0, 1, 3, 7, ... until the midpoint is lower
-        found, at_n = _agreement_scan(t, n, s)
-        if found is None:
-            hi, proven = n, at_n
-        else:
-            lo, failed = n + 1, found
-    bound, exact = analytic_f_bound(t, s), proven == INFINITE
-    cert = _certificate(t, s, lo - 1, *failed) if failed else None
-    return FEstimate(s, lo, lo if exact else bound, exact, bound, cert)
+    certificate for every smaller n.  Each stored level's plain check runs
+    once; F is 0 when none fails.  Else, with L the last that fails, the
+    test refutes each n of a lower coverage level, and at coverage level L
+    it is L's window check at _window_start(t, n, L), which holds at every
+    start past one where it holds (it moves fewer vertices): F is the n of
+    the least start that holds, by bisection, and the check failing at the
+    start before certifies every smaller n.  A node-bound stop at F leaves
+    it inexact, below the analytic bound (sound on a valid template).
+    budget is accepted and ignored."""
+    bound, n, cert = analytic_f_bound(t, s), 0, None  # the bound raises InputError unless 1 <= s <= MAX_COUNT
+    plain = [h._window_check(s, 0) for h in t._graphs]
+    last = max((l for l, (chk, _) in enumerate(plain) if not chk.holds), default=-1)  # L
+    exact = past = all(chk.exhaustive for chk, _ in plain[last + 1 :])  # no plain check past L stopped
+    if last >= 0:
+        h = t._graphs[last]
+        lo, hi, (failed, moved) = 1, h.size, plain[last]  # every start below lo fails, hi holds
+        while lo < hi:
+            chk, at_mid = h._window_check(s, mid := (lo + hi) // 2)
+            if chk.holds:
+                hi, exact = mid, past and chk.exhaustive
+            else:
+                lo, failed, moved = mid + 1, chk, at_mid
+        n = lo + 1 + predicate_count(t, last + 1) - h.size  # _window_start(t, n, last) == lo
+        cert = _certificate(t, s, n - 1, last, moved, failed.counterexample)
+    return FEstimate(s, n, n if exact else bound, exact, bound, cert)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from operator import itemgetter
+from operator import and_, itemgetter
 from random import Random
 from typing import Optional, Sequence
 
@@ -212,9 +212,10 @@ def close_existentially(
     The model is checked once, on entry.  The formulas declare their
     parameters distinct and demand increasing tuples, so one is consistent
     iff each demanded tuple forms an edge with the witness leaf at every
-    level below m, as decide_qf_formula decides.  Enumeration order is
-    canonical (parameter index tuples, then demanded edge sets, then
-    witness leaves), so closure is deterministic."""
+    level below m, as decide_qf_formula decides, so the witness leaves are
+    walked as a product of each level's common witnesses.  Enumeration
+    order is canonical (parameter index tuples, then demanded edge sets,
+    then witness leaves), so closure is deterministic."""
     if m < 0:
         raise InputError(f"level must be >= 0, got {m}")
     if param_bound < 1:
@@ -234,29 +235,20 @@ def close_existentially(
     bad = _misshapen(edges, k, len(leaves))
     if bad:
         raise InputError(f"edge {min(map(sorted, bad))} is not a {k}-subset of elements")
-    stems = all_level_stems(t, m)
     graphs = t._graphs[:m]
+    full = [(1 << t.level_size(l)) - 1 for l in range(m)]  # tail levels are complete: every vertex witnesses
     added = 0
     while True:
         frozen_count = len(leaves)
         for n in range(1, param_bound + 1):
             tuple_space = list(combinations(range(n), k - 1))
-            demands = [
-                frozenset(c)
-                for size in range(len(tuple_space) + 1)
-                for c in combinations(tuple_space, size)
-            ]
+            demands = [frozenset(c) for size in range(len(tuple_space) + 1) for c in combinations(tuple_space, size)]
             for params in combinations(range(frozen_count), n):
                 heads = {tup: tuple(params[i] for i in tup) for tup in tuple_space}
-                # the demanded tuples each witness leaf allows
-                allowed = [
-                    {
-                        tup
-                        for tup, idx in heads.items()
-                        if all(map(Hypergraph._has, graphs, zip(x, *(leaves[i] for i in idx))))
-                    }
-                    for x in stems
-                ]
+                masks = {  # each tuple's witness mask at each stored level
+                    tup: [*map(Hypergraph._mask, graphs, zip(*(leaves[i] for i in idx)))]
+                    for tup, idx in heads.items()
+                }
                 # the leaf and demanded-edge set of each element outside params
                 realized = set()
                 for b, leaf in enumerate(leaves):
@@ -266,8 +258,11 @@ def close_existentially(
                 # a witness added here forms edges with params only, so no
                 # element's carried set changes and no pair comes up twice
                 for positive in demands:
-                    for x, ok in zip(stems, allowed):
-                        if not positive <= ok or (x, positive) in realized:
+                    allowed = full[:]  # by level, the vertices in every demanded tuple's witness mask
+                    for tup in positive:
+                        allowed[: len(graphs)] = map(and_, allowed, masks[tup])
+                    for x in product(*([v for v in range(a.bit_length()) if a >> v & 1] for a in allowed)):
+                        if (x, positive) in realized:
                             continue
                         if added >= budget:
                             return ClosureResult(cur, added, False)

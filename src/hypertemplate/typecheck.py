@@ -238,7 +238,7 @@ def transfer_check(
         )
     span = 2 * (t.arity - 1)
     cap = min(m, comb(span, t.arity - 1))
-    chk = t.level_hypergraph(ms).check_extension_property(cap, span)
+    chk = t._graphs[ms].check_extension_property(cap, span)
     ces = ()
     if chk.counterexample:
         verts = sorted({v for tup in chk.counterexample for v in tup})

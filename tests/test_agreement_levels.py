@@ -5,7 +5,7 @@ its per-n definition."""
 
 import pickle
 from itertools import combinations, count
-from math import prod
+from math import ceil, log2, prod
 from random import Random
 from unittest import mock
 
@@ -226,13 +226,14 @@ class TestAgreementLevels:
 
     def test_F_takes_logarithmically_many_scans(self):
         # two edgeless 30-vertex levels: F(2) = 930 = 30 + 30 * 30, refuted
-        # at every smaller n.  Doubling to 511 and bisecting up to 930 take
-        # at most 20 scans, about 2 log2(931); a scan per window start of
-        # each coverage level would take 60
+        # at every smaller n.  Each level's plain check, then a bisection of
+        # level 1's window start over [1, 30), take at most 2 + ceil(log2 30)
+        # = 7 window checks; a search over n re-runs them per probe
         t = Template(2, [(Hypergraph(2, 30), 1), (Hypergraph(2, 30), 1)], TailPolicy("complete_growing", 1))
-        with mock.patch.object(signature, "_agreement_scan", wraps=signature._agreement_scan) as scan:
+        spy = mock.patch.object(Hypergraph, "_window_check", autospec=True, side_effect=Hypergraph._window_check)
+        with spy as check:
             F = F_estimate(t, 2)
-        assert scan.call_count <= 20
+        assert check.call_count <= t.prefix_len + ceil(log2(30)) == 7
         assert F.exact and F.lower_bound == F.upper_bound == len(F.certificates) == 930
         assert [ce.agreement for ce in F.certificates] == list(range(930))
         assert_replays(t, F.certificate, 929)

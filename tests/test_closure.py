@@ -80,13 +80,16 @@ def _realized(model, params, positive, x_leaf):
 @given(st.integers(2, 4), st.integers(1, 2), st.integers(0, 2**31))
 @settings(max_examples=100, deadline=None)
 def test_fixpoint_realizes_every_consistent_formula(k, bound, seed):
+    # m reaches up to two complete tail levels past the prefix; every
+    # added leaf ends at level m, at a fixpoint or not
     rng = Random(seed)
     t = _template(k, rng)
-    m = rng.randint(0, t.prefix_len)
+    m = rng.randint(0, t.prefix_len + 2)
     model = _model(t, m, rng)
     res = close_existentially(t, m, model, bound, budget=40)
-    assume(res.reached_fixpoint)
     closed = res.model
+    assert all(len(leaf) == m for leaf in closed.leaves)
+    assume(res.reached_fixpoint)
     assert closed.leaves[: len(model)] == model.leaves
     for n in range(1, bound + 1):
         space = list(combinations(range(n), k - 1))

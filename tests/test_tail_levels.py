@@ -1,9 +1,10 @@
 """Levels past the stored prefix are read as complete, never built.
 
 Every decision procedure runs on stems that reach one to three levels past
-a two-level prefix, first as it is and then with the tail level builder
-(template._complete_cached) made to raise.  The two runs must agree, so no
-procedure builds a tail level: only Template.level does, for the oracles.
+a two-level prefix, first as it is and then with Template.level, the one
+tail level builder (through template._complete_cached), made to raise.  The
+two runs must agree, so no procedure builds a tail level or reads a level
+through Template.level: only the oracles do.
 """
 
 from itertools import combinations
@@ -11,10 +12,9 @@ from random import Random
 
 import pytest
 
-from hypertemplate import template as template_module
 from hypertemplate.satsim import Instance, Scenario, build_distribution, verify_realization
 from hypertemplate.signature import ParamType, analytic_g_table
-from hypertemplate.template import random_template
+from hypertemplate.template import Template, random_template
 from hypertemplate.theory import FiniteModel, check_model, close_existentially
 from hypertemplate.tree import complete_to_leaf, einfty_prefix, enumerate_edge_partners
 from hypertemplate.typecheck import (
@@ -22,6 +22,7 @@ from hypertemplate.typecheck import (
     QfFormulaSpec,
     decide_positive_type,
     decide_qf_formula,
+    transfer_check,
 )
 
 DEPTH = 5  # stems reach three tail levels past the two stored ones
@@ -76,6 +77,8 @@ def _results(t, seed):
     model = FiniteModel(k, m, [s[:m] for s in stems[:k]], set())
     out["close_existentially"] = close_existentially(t, m, model, param_bound=1, budget=6)
 
+    out["transfer_check"] = [transfer_check(t, m) for m in (1, 2)]  # stabilization levels 0 and 1
+
     out["enumerate_edge_partners"] = [enumerate_edge_partners(t, s, d) for s in stems[:2] for d in range(DEPTH + 1)]
 
     # the limits share their stored levels, so the family is consistent;
@@ -97,8 +100,8 @@ def _results(t, seed):
     return out
 
 
-def _refuse(arity, size):
-    raise AssertionError(f"built a complete tail level: arity {arity}, size {size}")
+def _refuse(t, n):
+    raise AssertionError(f"read level {n} through Template.level")
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -106,7 +109,7 @@ def _refuse(arity, size):
 def test_procedures_never_build_a_tail_level(k, seed, monkeypatch):
     t = random_template(k, [3, 4], 0.8, [1, 2], seed=seed)
     expected = _results(t, seed)
-    monkeypatch.setattr(template_module, "_complete_cached", _refuse)
-    with pytest.raises(AssertionError, match="built a complete tail level"):
-        t.level(t.prefix_len)  # the one builder, for the oracles
+    monkeypatch.setattr(Template, "level", _refuse)
+    with pytest.raises(AssertionError, match="through Template.level"):
+        t.level_hypergraph(t.prefix_len)  # the one builder, for the oracles
     assert _results(t, seed) == expected

@@ -70,11 +70,11 @@ def validate_scenario(sc: Scenario) -> None:
         elif inst.limit.stem_length != lim_len:
             raise InputError("limit tuples must share a common stem length")
         for ti, pt in enumerate(inst.per_index):
-            if pt.stem_length != sc.depths[ti]:
-                raise InputError(
-                    f"instance {a}, index {ti}: stems have length {pt.stem_length},"
-                    f" expected {sc.depths[ti]}"
-                )
+            length = pt.stem_length
+            if length == sc.depths[ti]:  # a later stem too long; one too short fails check_signature_input
+                length = max(map(len, pt.stems))
+            if length != sc.depths[ti]:
+                raise InputError(f"instance {a}, index {ti}: stems have length {length}, expected {sc.depths[ti]}")
     if lim_len is not None and lim_len < max(sc.depths):
         raise InputError("limit stems must reach every index depth")
     if sc.instances:

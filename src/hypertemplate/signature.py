@@ -73,16 +73,38 @@ def equality_patterns(variables: int) -> list[tuple[int, ...]]:
     return out
 
 
-@lru_cache(maxsize=16)
-def _pattern_codes(variables: int) -> dict[tuple[int, ...], int]:
-    return {p: i for i, p in enumerate(equality_patterns(variables))}
-
-
 def pattern_index(pattern: Sequence[int]) -> int:
-    pattern = tuple(pattern)
-    code = _pattern_codes(len(pattern)).get(pattern)
-    if code is None:
-        raise InputError(f"{pattern} is not a canonical restricted growth string")
+    """The pattern's position in equality_patterns, in closed form."""
+    return _pattern_code(tuple(pattern))
+
+
+@lru_cache(maxsize=1024)
+def _pattern_code(pattern: tuple[int, ...]) -> int:
+    """The patterns with more classes (Stirling numbers of the second kind),
+    plus the lexicographic rank among those with as many: at each position,
+    each smaller value opens as many completions as a suffix of the
+    remaining length has to reach the pattern's class count."""
+    if not pattern:
+        raise InputError("need at least one variable")
+    values, top = [], -1
+    for v in pattern:
+        if v not in range(top + 2):
+            raise InputError(f"{pattern} is not a canonical restricted growth string")
+        values.append(int(v))
+        top = max(top, values[-1])
+    n, classes = len(values), top + 1
+    stirling = [1]  # S(r, j) for j = 0..r, grown to r = n
+    for _ in range(n):
+        stirling = [j * a + b for j, (a, b) in enumerate(zip(stirling + [0], [0] + stirling))]
+    # ways[r][b]: suffixes of r values that take b classes to exactly `classes`
+    ways = [[int(b == classes) for b in range(classes + 1)]]
+    for _ in range(n - 1):
+        last = ways[-1]
+        ways.append([b * last[b] + (last[b + 1] if b < classes else 0) for b in range(classes + 1)])
+    code, top = sum(stirling[classes + 1 :]), -1
+    for i, v in enumerate(values):
+        code += v * ways[n - 1 - i][top + 1]  # every smaller value keeps top + 1 classes
+        top = max(top, v)
     return code
 
 

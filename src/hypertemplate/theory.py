@@ -112,13 +112,13 @@ def _check_embedding(m0: FiniteModel, m1: FiniteModel, emb: Sequence[int], name:
             raise InputError(f"{name}: image {j} outside the target model")
         if m0.leaves[i] != m1.leaves[j]:
             raise InputError(f"{name}: element {i} changes leaf under the embedding")
-    # substructure: induced edges agree on the image
-    img = list(emb)
-    for sub in combinations(range(len(m0.leaves)), m0.arity):
-        src = frozenset(sub)
-        dst = frozenset(img[i] for i in sub)
-        if (src in m0.edges) != (dst in m1.edges):
-            raise InputError(f"{name}: edge on {sorted(src)} not preserved")
+    # substructure: the k-subsets of M0 that are edges on one side only,
+    # read off M0's edges and the target edges inside the image
+    k, pre, base = m0.arity, {j: i for i, j in enumerate(emb)}, frozenset(range(len(emb)))
+    ours = {e for e in m0.edges if len(e) == k and e <= base}
+    theirs = {frozenset(map(pre.__getitem__, e)) for e in m1.edges if len(e) == k and e <= pre.keys()}
+    if ours != theirs:
+        raise InputError(f"{name}: edge on {min(map(sorted, ours ^ theirs))} not preserved")
 
 
 def amalgamate(
@@ -240,7 +240,7 @@ def close_existentially(
     added = 0
     while True:
         frozen_count = len(leaves)
-        for n in range(1, param_bound + 1):
+        for n in range(1, min(param_bound, frozen_count) + 1):  # n parameters need n elements
             tuple_space = list(combinations(range(n), k - 1))
             demands = [frozenset(c) for size in range(len(tuple_space) + 1) for c in combinations(tuple_space, size)]
             for params in combinations(range(frozen_count), n):

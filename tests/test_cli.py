@@ -1,5 +1,3 @@
-import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -18,13 +16,7 @@ from hypertemplate.theory import FiniteModel, build_random_model
 from hypertemplate.typecheck import PositiveTypeSpec
 from hypertemplate.signature import ParamType
 from hypertemplate.satsim import Instance, Scenario
-
-
-def _child_env():
-    """The environment with this package's source first on PYTHONPATH."""
-    src = str(Path(hypertemplate.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+from test_checks import child_env
 
 
 @pytest.fixture
@@ -389,77 +381,6 @@ class TestEstimateCountInput:
         assert not out.exists()
 
 
-EDGELESS_120_TEXT = ser.dump_template(
-    Template(2, [(Hypergraph(2, 120), 1), (Hypergraph(2, 120), 1)], TailPolicy("complete_growing", 1))
-)
-
-
-class TestCountBound:
-    # on two edgeless levels every count is refuted, so oplus pads its
-    # certificate to s types and estimate-fg's analytic bound grows with s
-    @pytest.mark.parametrize("verb, flags, code", [
-        ("oplus", ["--n", "5", "--s"], 1),
-        ("estimate-fg", ["--F"], 0),
-    ])
-    def test_exit_2_past_1000(self, verb, flags, code, tmp_path, capsys):
-        tp = tmp_path / "t.hgt"
-        tp.write_text(EDGELESS_120_TEXT)
-        assert run([verb, str(tp), *flags, "1000"]) == code
-        capsys.readouterr()
-        assert run([verb, str(tp), *flags, "1001"]) == 2
-        assert capsys.readouterr() == ("", "input error: count must be <= 1000, got 1001\n")
-
-
-def deep_scenario_text(size, depth, instances=1):
-    """Two edgeless k = 2 levels of size vertices, one index of the given
-    depth, and one instance whose stems sit at vertex 0 (19 lines), or
-    none (12 lines)."""
-    lines = [
-        "hgt-scenario 1", "template-lines 8", "hgt-template 1", "arity 2", "prefix 2",
-        f"level 0 size {size} f 1", "edges 0", f"level 1 size {size} f 1", "edges 0",
-        "tail complete_growing 1", f"depths {depth}", f"instances {instances}",
-    ]
-    if instances:
-        stem = "s" + " 0" * depth
-        lines += ["instance", "limit", "eq 0", stem, "at 0", "eq 0", stem]
-    return "\n".join(lines) + "\n"
-
-
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-
-class TestDeepScenario:
-    """simulate-saturation reads its G table only up to the index depth,
-    and with no instance not at all.  A table sized by the predicate count
-    would ask for about 10^9 entries at depth 3 on 1,000-vertex levels, so
-    the verb runs in a child process under a 2 GB address-space limit,
-    where such a table ends in exit 4."""
-
-    @pytest.mark.parametrize("size, depth", [(1000, 3), (120, 4)])
-    def test_realized(self, size, depth, tmp_path):
-        p = tmp_path / "deep.hgs"
-        p.write_text(deep_scenario_text(size, depth))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hypertemplate", "simulate-saturation", str(p)],
-            capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=_limit_address_space,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout.endswith("failures 0\nresult realized\n")
-
-    def test_no_instance_reads_no_table(self, tmp_path):
-        # with no instance nothing is looked up, so an index depth of 10^9
-        # asks for no table of 10^9 entries
-        p = tmp_path / "huge.hgs"
-        p.write_text(deep_scenario_text(3000, 10**9, instances=0))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hypertemplate", "simulate-saturation", str(p)],
-            capture_output=True, text=True, env=_child_env(), timeout=60, preexec_fn=_limit_address_space,
-        )
-        assert (proc.returncode, proc.stderr) == (0, "")
-        assert proc.stdout.endswith("index 0 members - consistent true witness -\nfailures 0\nresult realized\n")
-
-
 class TestRemovedSearchFlags:
     @pytest.mark.parametrize("flag, value", REMOVED_SEARCH_FLAGS)
     @pytest.mark.parametrize("verb", [["oplus", "--s", "2", "--n", "3"], ["estimate-fg", "--F", "2", "--G", "1"]])
@@ -509,7 +430,7 @@ class TestEntryPoints:
     def test_python_m_prints_usage(self, module):
         proc = subprocess.run(
             [sys.executable, "-m", module, "--help"],
-            capture_output=True, text=True, env=_child_env(), timeout=60,
+            capture_output=True, text=True, env=child_env(), timeout=60,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: hypertemplate")

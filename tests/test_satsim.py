@@ -95,6 +95,15 @@ SCENARIO_FAULTS = {
         "limit stems must reach every index depth",
         True,
     ),
+    "a second stem longer than its index depth": (
+        Scenario(
+            complete_template(3, 3),
+            (2,),
+            (Instance(ParamType(((0, 0, 0),) * 2), (ParamType(((0, 0), (0, 0, 0))),)),),
+        ),
+        "instance 0, index 0: stems have length 3, expected 2",
+        False,
+    ),
     "limits apart at the bottleneck level": (
         _limits(bottleneck_scenario(2)[1], [ParamType(stems=((a, 0),)) for a in range(2)]),
         "the limit family is not consistent",

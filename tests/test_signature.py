@@ -55,10 +55,20 @@ class TestEqualityPatterns:
         assert pattern_index((0, 1)) == 0
         assert pattern_index((0, 0)) == 1
         assert pattern_index((0, 0, 0)) == 4
+        # the closed form against the enumeration, every pattern of 1-8 variables
+        for variables in range(1, 9):
+            patterns = equality_patterns(variables)
+            assert list(map(pattern_index, patterns)) == list(range(len(patterns)))
 
     def test_non_canonical_rejected(self):
-        with pytest.raises(InputError):
-            pattern_index((1, 0))
+        for pattern, message in [
+            ((1, 0), "(1, 0) is not a canonical restricted growth string"),
+            ((0, 2, 1), "(0, 2, 1) is not a canonical restricted growth string"),
+            ((), "need at least one variable"),
+        ]:
+            with pytest.raises(InputError) as err:
+                pattern_index(pattern)
+            assert str(err.value) == message
 
 
 class TestPredicateEnumeration:

@@ -10,6 +10,7 @@ from hypertemplate.theory import (
     FiniteModel,
     Violation,
     all_level_stems,
+    _check_embedding,
     amalgamate,
     build_random_model,
     check_model,
@@ -194,6 +195,39 @@ class TestAmalgamate:
         with pytest.raises(InputError) as err:
             amalgamate(t, self.M0, self.M1, self.M1, into1, (0, 2))
         assert str(err.value) == message
+
+    @staticmethod
+    def subset_walk_message(m0, m1, emb):
+        """The substructure fault the walk over every k-subset of M0 finds first."""
+        for sub in itertools.combinations(range(len(m0.leaves)), m0.arity):
+            if (frozenset(sub) in m0.edges) != (frozenset(emb[i] for i in sub) in m1.edges):
+                return f"m: edge on {list(sub)} not preserved"
+        return None
+
+    def test_edge_walk_matches_subset_walk(self):
+        # edges of the wrong size or past the elements, on either side, are
+        # never visited by the subset walk, so they change nothing
+        rng, outcomes = Random(5), set()
+        for _ in range(300):
+            k, n0 = rng.randint(2, 3), rng.randint(0, 6)
+            n1 = n0 + rng.randint(0, 3)
+            emb = rng.sample(range(n1), n0)
+            edges0 = {frozenset(s) for s in itertools.combinations(range(n0), k) if rng.random() < 0.4}
+            edges1 = {frozenset(emb[i] for i in e) for e in edges0}
+            edges1 ^= {frozenset(s) for s in itertools.combinations(range(n1), k) if rng.random() < 0.05}
+            for edges, n in ((edges0, n0), (edges1, n1)):
+                for _ in range(rng.randint(0, 2)):
+                    edges.add(frozenset(rng.sample(range(-1, n + 3), rng.randint(1, k + 1))))
+            m0, m1 = FiniteModel(k, 1, [(0,)] * n0, edges0), FiniteModel(k, 1, [(0,)] * n1, edges1)
+            expected = self.subset_walk_message(m0, m1, emb)
+            try:
+                _check_embedding(m0, m1, emb, "m")
+                message = None
+            except InputError as err:
+                message = str(err)
+            assert message == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("other", [FiniteModel(3, 2, [], set()), FiniteModel(2, 1, [], set())])
     def test_models_of_another_arity_or_level_rejected(self, other):

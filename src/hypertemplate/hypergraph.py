@@ -375,7 +375,10 @@ class Hypergraph(_Level):
         One cover search runs over one set-up per distinct set of tuples
         whose window masks hold a vertex, so its first cover is smallest; a
         set of fewer than two masks, or of masks sharing a vertex, cannot
-        cover and gets no set-up."""
+        cover and gets no set-up.  t is checked here, for _window_check,
+        whose other callers pass counts of at least 1."""
+        if t < 1:
+            raise InputError(f"t must be >= 1, got {t}")
         return self._window_check(t, start)[0]
 
     def _window_check(self, t: int, start: int) -> tuple[ExtensionCheck, Optional[tuple[tuple[int, ...], ...]]]:
@@ -386,8 +389,6 @@ class Hypergraph(_Level):
         the set with those moved to start; with one, the set ending at the
         least vertex from start on whose mask holds w.  With start <= 0 every
         window is full, so w is 0 and every replacement is all zeros."""
-        if t < 1:
-            raise InputError(f"t must be >= 1, got {t}")
         if start <= 0:
             chk = self._check_extension(t, None)
             return chk, chk.counterexample and ((0,) * (self.arity - 1),) * len(chk.counterexample)

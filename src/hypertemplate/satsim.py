@@ -5,10 +5,10 @@ a consistent family of limit parameter tuples together with per-index
 approximations.  The agreement level between an approximation and its
 limit is the first index at which their signatures differ, capped at the
 index depth and read off the stems in closed form; a capacity table G
-converts agreement into the number of instances an index can absorb; a
-bounded-multiplicity greedy assignment distributes instances over indices;
-and realization is then verified per index with the positive-type
-decision procedure.
+converts agreement into the number of instances an index can absorb;
+the indices of infinite capacity take every instance, or else a greedy
+assignment places each once; and realization is then verified per index
+with the positive-type decision procedure.
 
 Finite index sets cannot emulate the regularity that gives the original
 argument its room, so infeasibility of the assignment is a first-class
@@ -140,33 +140,28 @@ def build_distribution(
     g_table: Sequence[Capacity],
     seed: int,
 ) -> Union[Distribution, Infeasible]:
-    """Greedy bounded-multiplicity assignment.
+    """Bounded-multiplicity assignment, in one of two cases.
 
     The per-index bound s[t] is the pointwise minimum capacity over
-    instances, floored at 1.  Instances are placed in seeded order on the
-    least-loaded eligible index with room, ties to the lowest index; every
-    instance must land somewhere, else Infeasible."""
+    instances, floored at 1, so it is infinite only where every capacity
+    is.  Each instance goes to all indices of infinite bound, if any;
+    else a greedy places each once, in seeded order, on the least-loaded
+    eligible index with room, ties to the lowest index, and returns
+    Infeasible for the first instance that finds none."""
     validate_scenario(sc)
     t, N = sc.template, len(sc.depths)
     caps = [
         [_lookup(g_table, first_difference(t, pt, inst.limit, d)) for pt, d in zip(inst.per_index, sc.depths)]
         for inst in sc.instances
     ]
-    bounds: list[Capacity] = []
-    for ti in range(N):
-        lo = min((caps[a][ti] for a in range(len(sc.instances))), default=inf)
-        bounds.append(lo if isinf(lo) else max(1, lo))
-    rng = Random(seed)
-    order = list(range(len(sc.instances)))
-    rng.shuffle(order)
+    lows = [min(col) for col in zip(*caps)] or [inf] * N  # with no instance, every bound is infinite
+    bounds = [lo if isinf(lo) else max(1, lo) for lo in lows]
+    free = frozenset(ti for ti in range(N) if isinf(bounds[ti]))
+    assigned = [free] * len(sc.instances)
     loads = [0] * N
-    assigned: list[frozenset[int]] = [frozenset()] * len(sc.instances)
+    order = [] if free else list(range(len(sc.instances)))  # the free indices hold every instance
+    Random(seed).shuffle(order)
     for a in order:
-        # indices with an infinite bound absorb everything for free
-        free = {ti for ti in range(N) if isinf(bounds[ti]) and caps[a][ti] >= bounds[ti]}
-        if free:
-            assigned[a] = frozenset(free)
-            continue
         eligible = [
             ti
             for ti in range(N)

@@ -264,14 +264,12 @@ class OplusCounterexample:
 class OplusResult:
     """One agreement test.  ``exhaustive`` is False only when a node bound
     stopped a check and no counterexample was found, so that "holds" is
-    unproven.  ``families_tried`` is always 0; bench/tracing.py's outcome
-    hook still reads it."""
+    unproven."""
 
     s: int
     n: int
     exhaustive: bool
     counterexample: Optional[OplusCounterexample]
-    families_tried: int = 0
 
 
 def family_consistent(t: Template, family: Family) -> bool:
@@ -430,9 +428,7 @@ def G_estimate(t: Template, n: int, budget=None, s_cap=None) -> GEstimate:
     none fails, or, when a node bound stopped a check and none fails, the
     largest count every check proved.  Exact when no check stopped below the
     value.  budget and s_cap are accepted and ignored, as in F_estimate."""
-    if n < 0:
-        raise InputError(f"need n >= 0, got {n}")
-    lower = analytic_g_lower(t, n)
+    lower = analytic_g_lower(t, n)  # raises InputError unless n >= 0
     found, proven = _agreement_scan(t, n)
     if found is None:
         return GEstimate(n, proven, proven == INFINITE, lower, None)

@@ -133,12 +133,16 @@ def amalgamate(
 
     into1/into2 embed M0 into M1 and M2; elements of M2 outside the image
     are treated as fresh.  Unary data and edges are unions.  With M0 empty
-    this is the joint embedding construction.  The union of valid models is
-    valid; callers confirm with check_model."""
+    this is the joint embedding construction.  An edge of M1 or M2 that is
+    not a k-subset of its model's elements is an InputError.  The union of
+    valid models is valid; callers confirm with check_model."""
     if not (m0.arity == m1.arity == m2.arity) or not (m0.level == m1.level == m2.level):
         raise InputError("models must share arity and level")
     _check_embedding(m0, m1, into1, "into1")
     _check_embedding(m0, m2, into2, "into2")
+    bad = _misshapen(m1.edges, m1.arity, len(m1.leaves)) + _misshapen(m2.edges, m2.arity, len(m2.leaves))
+    if bad:
+        raise InputError(f"edge {min(map(sorted, bad))} is not a {m1.arity}-subset of elements")
     remap2: dict[int, int] = {}
     for i, j in enumerate(into2):
         remap2[j] = into1[i]

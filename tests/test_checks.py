@@ -76,9 +76,10 @@ def scenario(template_text, depth, instances=1):
     return head + template_text + lines(f"depths {depth}", f"instances {instances}", *instance)
 
 
-def model(arity, level, leaves=()):
+def model(arity, level, leaves=(), edges=()):
     return lines("hgt-model 1", f"arity {arity}", f"level {level}", f"elements {len(leaves)}",
-                 *(f"el {i} {' '.join(map(str, leaf))}" for i, leaf in enumerate(leaves)), "edges 0")
+                 *(f"el {i} {' '.join(map(str, leaf))}" for i, leaf in enumerate(leaves)), f"edges {len(edges)}",
+                 *(f"e {' '.join(map(str, edge))}" for edge in edges))
 
 
 def f_exact(f):
@@ -184,6 +185,11 @@ ROWS = {
     "level-edge-count-minus-1": (
         {"minus1.hgt": template(2, 1).replace("edges 0", "edges -1")}, "validate-template minus1.hgt", 2, (),
         input_error("template edge count must be >= 0, got -1"),
+    ),
+    # an edge of the right model on an element it lacks, as close-model words it
+    "amalgamate-edge-past-elements": (
+        {"t.hgt": template(3, 1), "e.mdl": model(3, 1), "r.mdl": model(3, 1, [(0,)] * 3, [(0, 1, 5)])},
+        "amalgamate t.hgt e.mdl e.mdl r.mdl", 2, (), input_error("edge [0, 1, 5] is not a 3-subset of elements"),
     ),
 }
 

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from math import inf
+from math import inf, isinf
 from random import Random
 
 import pytest
@@ -206,6 +206,71 @@ class TestBuildDistribution:
         sc = complete_scenario(instances=3)
         tab = g_table_for(sc)
         assert build_distribution(sc, tab, seed=7) == build_distribution(sc, tab, seed=7)
+
+
+def reference_distribution(sc, g_table, seed):
+    """build_distribution as it read with one greedy for both cases: the
+    seeded order always runs, and each instance's own set of free indices
+    (infinite bound, capacity at least the bound) is checked before it is
+    placed."""
+    validate_scenario(sc)
+    N = len(sc.depths)
+    caps = [[capacity(sc, a, ti, g_table) for ti in range(N)] for a in range(len(sc.instances))]
+    bounds = []
+    for ti in range(N):
+        lo = min((caps[a][ti] for a in range(len(sc.instances))), default=inf)
+        bounds.append(lo if isinf(lo) else max(1, lo))
+    rng = Random(seed)
+    order = list(range(len(sc.instances)))
+    rng.shuffle(order)
+    loads = [0] * N
+    assigned = [frozenset()] * len(sc.instances)
+    for a in order:
+        free = {ti for ti in range(N) if isinf(bounds[ti]) and caps[a][ti] >= bounds[ti]}
+        if free:
+            assigned[a] = frozenset(free)
+            continue
+        eligible = [ti for ti in range(N) if bounds[ti] <= caps[a][ti] and loads[ti] < bounds[ti]]
+        if not eligible:
+            return Infeasible(a, tuple(bounds), tuple(loads), f"instance {a}: no index has spare capacity")
+        ti = min(eligible, key=lambda x: (loads[x], x))
+        assigned[a] = frozenset({ti})
+        loads[ti] += 1
+    index_sets = tuple(frozenset(a for a in range(len(sc.instances)) if ti in assigned[a]) for ti in range(N))
+    return Distribution(tuple(assigned), index_sets, tuple(bounds))
+
+
+def criterion_6_scenarios():
+    """(seed, scenario) for each of criterion 6's 200 scenarios, in its order."""
+    seed = scenarios = 0
+    while scenarios < 200:
+        seed += 1
+        sc = saturation_scenario(Random(5000 + seed))
+        if sc is not None:
+            scenarios += 1
+            yield seed, sc
+
+
+def test_distribution_matches_reference_on_criterion_6():
+    """Four tables per scenario: the analytic table sized by the deepest
+    index (as the CLI sizes it) and by 1 + predicate_count (as criterion 6
+    does), an all-infinite one, and a seeded nondecreasing one whose finite
+    entries end in infinity, so free and bounded indices meet."""
+    compared, infeasible, mixed = 0, 0, 0
+    for seed, sc in criterion_6_scenarios():
+        deepest = max(sc.depths)
+        n_max = max(1 + predicate_count(sc.template, deepest), deepest + 1)
+        rng = Random(seed)
+        cut = rng.randint(1, n_max)
+        stepped = sorted(rng.randint(1, 3) for _ in range(cut)) + [inf] * (n_max + 1 - cut)
+        tables = (analytic_g_table(sc.template, deepest), analytic_g_table(sc.template, n_max), [inf] * (n_max + 1), stepped)
+        for table in tables:
+            got = build_distribution(sc, table, seed)
+            assert got == reference_distribution(sc, table, seed)
+            compared += 1
+            infeasible += isinstance(got, Infeasible)
+            mixed += any(map(isinf, got.bounds)) and not all(map(isinf, got.bounds))
+    assert compared == 800 and infeasible > 0 and mixed > 0
 
 
 class TestVerifyRealization:
